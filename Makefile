@@ -1,7 +1,7 @@
 # Convenience targets mirroring .github/workflows/ci.yml.
 # Everything runs offline: external crates are in-repo shims (shims/README.md).
 
-.PHONY: verify fmt lint test test-serial test-faults test-loom test-miri test-tsan stress determinism test-tiers test-numa bench-smoke bench-parallel bench-parallel-save bench-tiers-save bench-numa-save goldens goldens-check goldens-save ci
+.PHONY: verify fmt lint test test-serial test-faults test-loom test-miri test-tsan determinism test-tiers test-numa bench-smoke bench-tiers-save bench-numa-save goldens goldens-check goldens-save ci
 
 # The canonical acceptance gate: release build + full test suite.
 verify:
@@ -13,18 +13,19 @@ fmt:
 lint:
 	cargo clippy --workspace --all-targets -- -D warnings
 
+# Every workspace crate, unit tests included (the CI `test` job).
 test:
-	cargo test -q
+	cargo test --workspace -q
 
 # The CI matrix's serial leg: surfaces cross-test interference.
 test-serial:
-	cargo test -q -- --test-threads=1
+	cargo test --workspace -q -- --test-threads=1
 
 # Fault-injection suite: shadow-oracle, determinism, and recovery tests.
 test-faults:
 	cargo test -q --test fault_injection
 	cargo test -q --test trace_validation
-	cargo test -q --release --test parallel_stress stress_workers_survive_a_one_percent_dma_error_plan
+	cargo test -q --release --test thread_determinism under_faults
 
 # Bounded model checking of the lock-free core (frame pool, trace ring):
 # swaps std atomics for the loom shim's model-checked ones and explores
@@ -56,12 +57,9 @@ test-tsan:
 		echo "nightly + rust-src not installed (TSan needs an instrumented std via -Zbuild-std); skipping"; \
 	fi
 
-# Engine stress tests at 8 workers (release: the point is load).
-stress:
-	cargo test -q --release --test parallel_stress --test thread_determinism
-
-# The cross-thread-count determinism matrix on its own: every policy,
-# eviction pressure and fault plan, byte-equal reports at 1/2/4/8 threads.
+# The repeat-run determinism matrix on its own: every policy under
+# eviction pressure and a fault plan, SCALE, regular tables, tiers and
+# adaptive page sizes, each run twice with byte-equal reports.
 determinism:
 	cargo test -q --release --test thread_determinism
 
@@ -81,16 +79,6 @@ test-numa:
 # One pass over the policies benchmark bodies (no measurement).
 bench-smoke:
 	cargo bench -p cmcp-bench --bench policies -- --test
-
-# Smoke pass over the scaling benchmark bodies (asserts cross-thread
-# byte-identity, no measurement, leaves the committed baseline alone).
-bench-parallel:
-	cargo bench -p cmcp-bench --bench parallel_scaling -- --test
-
-# Full measurement of host-parallelism scaling; rewrites the committed
-# results/BENCH_parallel.json baseline.
-bench-parallel-save:
-	cargo bench -p cmcp-bench --bench parallel_scaling -- --bench
 
 # Hot-path microbench vs the committed baseline (the CI perf gate);
 # `make bench-hotpath-save` rewrites the baseline after intentional
@@ -138,5 +126,5 @@ goldens-save:
 		--fault-plan "seed=42,dma=0.01,enospc=0.005" --json \
 		> results/golden_faulted_cg.json
 
-ci: fmt lint verify test-serial test-faults test-loom stress test-tiers \
+ci: fmt lint verify test test-serial test-faults test-loom determinism test-tiers \
     test-numa bench-smoke bench-hotpath goldens-check

@@ -21,8 +21,8 @@ pub type Cycles = u64;
 /// A core's virtual clock: an owner-advanced cycle counter plus an
 /// atomically chargeable interrupt debt.
 ///
-/// The clock is `Sync` so the parallel engine can charge remote cores
-/// while each core's worker thread advances its own clock.
+/// The clock is `Sync` so the kernel can charge remote cores while each
+/// core's owner advances its own clock.
 #[derive(Debug, Default)]
 pub struct CoreClock {
     /// Cycles the core has executed, advanced only by the owning context.

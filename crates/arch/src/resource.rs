@@ -21,7 +21,7 @@ use crate::clock::Cycles;
 
 /// A serialized resource with a virtual-time reservation clock.
 ///
-/// Thread-safe: reservations from the parallel engine race on a single
+/// Thread-safe: concurrent reservations race on a single
 /// compare-exchange loop, which keeps the *total* occupancy exact even
 /// when the arrival order is nondeterministic.
 #[derive(Debug, Default)]
@@ -91,7 +91,7 @@ impl VirtualResource {
     /// number of clients that can have requests outstanding (each
     /// simulated core blocks on its own fault), so any delay beyond
     /// `clients × service` is an artifact of out-of-order arrivals — the
-    /// parallel engine lets core clocks skew within a window, and a
+    /// epoch engine lets core clocks skew within a window, and a
     /// latecomer must not be charged for reservations made "in its
     /// future". Callers pass a cap comfortably above the genuine bound so
     /// the deterministic engine is unaffected.

@@ -65,15 +65,6 @@ OPTIONS:
                          disable page-table replication: every minor
                          fault from a non-home node walks the home
                          node's master table remotely instead
-    --threads <N|auto>   host worker threads, >= 1 (default: 1), or
-                         `auto` to use every available host CPU; the
-                         report is byte-identical at every count — more
-                         threads only change wall-clock time
-    --counters <PATH>    write the scaling counters as JSON: the
-                         deterministic phase-B decomposition (epochs,
-                         shardable vs reconciled entries, fast-forwards)
-                         plus host-side barrier-wait and parallel-round
-                         counters
     --rebuild <MS>       periodic PSPT rebuild every MS virtual ms
     --fault-plan <SPEC>  seeded fault injection on the PCIe/backing path,
                          e.g. \"seed=42,dma=0.01,enospc=0.005\"; rules:
@@ -97,10 +88,8 @@ struct Args {
     numa: NumaConfig,
     numa_replication: bool,
     memory: Option<f64>,
-    threads: usize,
     rebuild_ms: u64,
     fault_plan: Option<FaultPlan>,
-    counters_out: Option<String>,
     json: bool,
     trace: bool,
     trace_out: String,
@@ -156,25 +145,6 @@ fn parse_page_size(s: &str) -> Result<PageSize, String> {
     }
 }
 
-/// Returns the internal thread-count sentinel: `0` means auto-detect.
-/// A literal `0` is still rejected loudly — "use every CPU" is spelled
-/// `auto`, not `0`.
-fn parse_threads(s: &str) -> Result<usize, String> {
-    if s.eq_ignore_ascii_case("auto") {
-        return Ok(0);
-    }
-    let n: usize = s.parse().map_err(|_| format!("bad thread count '{s}'"))?;
-    if n == 0 {
-        return Err(
-            "--threads 0 is rejected: the unified engine needs at least one worker \
-             (results are byte-identical at every count, so 1 is always safe; \
-             use --threads auto for one worker per host CPU)"
-                .into(),
-        );
-    }
-    Ok(n)
-}
-
 fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         workload: Workload::Cg(WorkloadClass::B),
@@ -187,10 +157,8 @@ fn parse_args() -> Result<Option<Args>, String> {
         numa: NumaConfig::single(),
         numa_replication: true,
         memory: None,
-        threads: 1,
         rebuild_ms: 0,
         fault_plan: None,
-        counters_out: None,
         json: false,
         trace: false,
         trace_out: "trace.jsonl".to_string(),
@@ -263,14 +231,6 @@ fn parse_args() -> Result<Option<Args>, String> {
                 }
                 args.memory = Some(m);
             }
-            "--threads" => args.threads = parse_threads(&value("--threads")?)?,
-            "--parallel" => {
-                return Err(
-                    "--parallel was replaced by --threads N: the engines are unified and \
-                     every thread count gives the byte-identical report"
-                        .into(),
-                )
-            }
             "--rebuild" => {
                 args.rebuild_ms = value("--rebuild")?
                     .parse()
@@ -279,7 +239,6 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--fault-plan" => {
                 args.fault_plan = Some(FaultPlan::parse(&value("--fault-plan")?)?);
             }
-            "--counters" => args.counters_out = Some(value("--counters")?),
             "--json" => args.json = true,
             "--out" if args.trace => args.trace_out = value("--out")?,
             "--chrome" if args.trace => args.chrome_out = Some(value("--chrome")?),
@@ -330,7 +289,6 @@ fn main() -> ExitCode {
         .numa(args.numa)
         .numa_replication(args.numa_replication)
         .memory_ratio(memory)
-        .threads(args.threads)
         .pspt_rebuild_period(args.rebuild_ms * 1_053_000);
     if args.adaptive {
         builder = builder.adaptive_page_size();
@@ -340,8 +298,6 @@ fn main() -> ExitCode {
         builder = builder.fault_plan(plan);
     }
 
-    let resolved_threads = cmcp::sim::resolve_threads(args.threads);
-    let mut host_stats = None;
     let report = if args.trace {
         let builder = match args.trace_capacity {
             Some(n) => builder.trace_capacity(n),
@@ -377,47 +333,8 @@ fn main() -> ExitCode {
         }
         traced.report
     } else {
-        let (report, host) = builder.run_with_host_stats();
-        host_stats = Some(host);
-        report
+        builder.run()
     };
-
-    if let Some(path) = &args.counters_out {
-        let s = &report.scaling;
-        let scaling = serde_json::json!({
-            "epochs": s.epochs,
-            "fast_forwards": s.fast_forwards,
-            "committed": s.committed,
-            "shardable": s.shardable,
-            "reconciled": s.reconciled,
-            "releases": s.releases,
-        });
-        let mut counters = serde_json::json!({
-            "threads": resolved_threads,
-            "scaling": scaling,
-        });
-        // Host-side counters exist for plain runs only (traced runs go
-        // through the event-recording dispatch, which has no host-stats
-        // channel); they are machine-dependent by design.
-        if let Some(h) = &host_stats {
-            if let serde_json::Value::Object(entries) = &mut counters {
-                entries.push((
-                    "host".to_string(),
-                    serde_json::json!({
-                        "parallel_rounds": h.parallel_rounds,
-                        "barrier_spins": h.barrier_spins,
-                        "barrier_yields": h.barrier_yields,
-                        "barrier_sleeps": h.barrier_sleeps,
-                    }),
-                ));
-            }
-        }
-        let body = serde_json::to_string_pretty(&counters).expect("serializable counters");
-        if let Err(e) = std::fs::write(path, body) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
 
     if args.json {
         let mut value = serde_json::json!({
@@ -494,10 +411,6 @@ fn main() -> ExitCode {
     } else {
         println!("{} | {}", report.label, report.config);
         println!("  memory ratio        {memory:.2}");
-        println!(
-            "  engine threads      {resolved_threads}{}",
-            if args.threads == 0 { " (auto)" } else { "" }
-        );
         println!(
             "  runtime             {:.3} ms ({} cycles)",
             report.runtime_secs * 1e3,
@@ -639,21 +552,6 @@ mod tests {
         }
         assert!(parse_policy("cmcp:1.5").is_err());
         assert!(parse_policy("mru").is_err());
-    }
-
-    #[test]
-    fn thread_counts_parse_and_zero_is_rejected_loudly() {
-        assert_eq!(parse_threads("1"), Ok(1));
-        assert_eq!(parse_threads("8"), Ok(8));
-        let err = parse_threads("0").expect_err("zero must be rejected");
-        assert!(err.contains("at least one worker"), "{err}");
-        assert!(parse_threads("many").is_err());
-    }
-
-    #[test]
-    fn threads_auto_maps_to_the_detect_sentinel() {
-        assert_eq!(parse_threads("auto"), Ok(0));
-        assert_eq!(parse_threads("AUTO"), Ok(0));
     }
 
     #[test]

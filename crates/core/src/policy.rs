@@ -35,7 +35,7 @@ impl AccessBitOracle for NullOracle {
 
 /// A residency event deferred into a per-core batch buffer.
 ///
-/// The parallel engine's fault path records these instead of calling the
+/// The kernel's fault path records these instead of calling the
 /// policy directly, so a single policy-lock acquisition can apply many
 /// events at once ([`ReplacementPolicy::record_batch`]). Events carry the
 /// map count observed when they were generated; by flush time the block

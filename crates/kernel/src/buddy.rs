@@ -12,7 +12,7 @@
 //! (lowest address first), so allocation order is a pure function of
 //! the call sequence — and every call happens in the engine's
 //! sequential commit phase, which is what keeps adaptive runs
-//! byte-identical at any host thread count. The lock-free heroics of
+//! byte-identical. The lock-free heroics of
 //! the fixed pool are pointless here: the adaptive fault path is
 //! serialized by construction.
 

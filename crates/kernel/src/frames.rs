@@ -6,7 +6,7 @@
 //! stack of block-aligned runs — mirroring how the paper's kernel
 //! dedicates a physically contiguous region to the PSPT computation area.
 //!
-//! For the parallel engine the free stack is *sharded*: each shard is a
+//! For concurrent callers the free stack is *sharded*: each shard is a
 //! lock-free Treiber stack threaded through a preallocated `next` array
 //! (one slot per block), so concurrent fault handlers allocate from
 //! their home shard without ever taking a host lock, stealing from the
@@ -173,14 +173,16 @@ impl FramePool {
     }
 
     /// Currently free blocks (relaxed sum over the shard counters —
-    /// exact when the pool is quiescent, approximate mid-race: counter
-    /// updates trail the stack CAS, so the sum is clamped at zero).
+    /// exact when the pool is quiescent, approximate mid-race). Counter
+    /// updates trail the stack CAS, and a block moving between shards
+    /// can be summed on both sides of the move, so the sum is clamped to
+    /// `0..=total_blocks`.
     pub fn free_blocks(&self) -> usize {
         self.shards
             .iter()
             .map(|s| s.len.load(Ordering::Relaxed))
             .sum::<isize>()
-            .max(0) as usize
+            .clamp(0, self.total_blocks as isize) as usize
     }
 
     #[inline]

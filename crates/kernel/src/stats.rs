@@ -1,7 +1,7 @@
 //! Execution statistics, shaped after the paper's Table 1.
 //!
-//! Per-core counters are atomics so the parallel engine can update them
-//! without locks; snapshots are plain serde-able values used by the
+//! Per-core counters are atomics so the kernel's shared-reference fault
+//! path can update them without locks; snapshots are plain serde-able values used by the
 //! experiment harness.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};

@@ -50,8 +50,8 @@ const LOCK_SHARDS: usize = 64;
 
 /// Lock stripes over the residency metadata. A fixed power of two keyed
 /// by the same page hash as the virtual PSPT locks, so the mapping from
-/// block to stripe is a pure function of the configuration — never of
-/// host thread count — and deterministic runs stay bit-identical.
+/// block to stripe is a pure function of the configuration, and
+/// deterministic runs stay bit-identical.
 const RESIDENT_SHARDS: usize = 64;
 
 /// Bounded back-off for the allocation loop: a dry pool with an empty
@@ -76,7 +76,7 @@ const BACKOFF_CAP_SHIFT: u32 = 6;
 /// not unlucky, and the run aborts loudly instead of livelocking.
 const MAX_RECOVERY_ATTEMPTS: u32 = 64;
 
-/// Default number of policy events a core may buffer before `maybe_flush`
+/// Number of policy events a core may buffer before `maybe_flush`
 /// forces a drain. Buffering is invisible to policy decisions: every
 /// consumer of the policy (victim selection, the scan timer, run-end
 /// queries) flushes the buffers — in global stamp order — before reading
@@ -84,12 +84,12 @@ const MAX_RECOVERY_ATTEMPTS: u32 = 64;
 /// identical at any limit. The limit only bounds buffer memory and, on
 /// the fault hot path, how often the policy mutex is taken when no
 /// eviction forces a flush anyway.
-const DEFAULT_POLICY_BATCH: usize = 32;
+const POLICY_BATCH: usize = 32;
 
 /// Flush drains at or below this many events bypass the shared
 /// `flush_events` vector (and its lock) and stage on the stack instead.
 /// Sized for the steady eviction path — the events one core buffers
-/// between two evictions — not for a full `DEFAULT_POLICY_BATCH`, so the
+/// between two evictions — not for a full `POLICY_BATCH`, so the
 /// stack fill stays a couple of cache lines.
 const FLUSH_STACK_EVENTS: usize = 8;
 
@@ -139,8 +139,8 @@ pub enum FaultKind {
     Major,
     /// PSPT minor fault: block resident, PTE copied from a sibling.
     MinorCopy,
-    /// Lost race (parallel engine): the block became mapped for this core
-    /// between the TLB miss and the handler.
+    /// Lost race: the block became mapped for this core between the TLB
+    /// miss and the handler.
     Spurious,
 }
 
@@ -165,7 +165,7 @@ pub struct Vmm<R: Recorder = NullTracer> {
     /// the stripe locks.
     resident_len: Vec<AtomicUsize>,
     /// Per-core buffers of deferred policy events, flushed in one policy
-    /// lock acquisition per `batch_limit` events.
+    /// lock acquisition per [`POLICY_BATCH`] events.
     batch_bufs: Vec<Mutex<Vec<(u64, PolicyEvent)>>>,
     /// Per-core buffered-event counts, maintained under the buffer lock
     /// but readable without it — flushes skip empty buffers and
@@ -174,20 +174,6 @@ pub struct Vmm<R: Recorder = NullTracer> {
     /// Global order stamp for deferred events, taken while the block's
     /// stripe lock is held so same-block events are totally ordered.
     batch_seq: AtomicU64,
-    /// Events a core may buffer before forcing a flush
-    /// ([`DEFAULT_POLICY_BATCH`] unless an engine overrides it). Any
-    /// value yields the same policy decisions — see the constant's doc.
-    batch_limit: AtomicUsize,
-    /// Per-core policy-event sequence override for sharded commits:
-    /// `u64::MAX` means inactive (stamps come from `batch_seq`); any
-    /// other value is the next stamp this core's events take. An engine
-    /// committing parked entries concurrently pre-assigns each entry a
-    /// stamp window in global commit order, so the merged event stream
-    /// sorts identically to a sequential fold no matter which host
-    /// thread ran which entry. Each cell is only written by the engine
-    /// (between barriers) and by the one worker committing that core's
-    /// entry, so plain load/store suffices.
-    policy_seq_override: Vec<AtomicU64>,
     /// Merge area for flushes; only touched under the policy lock.
     flush_scratch: Mutex<Vec<(u64, PolicyEvent)>>,
     /// Reused event slice handed to `record_batch`; only touched under
@@ -301,8 +287,6 @@ impl<R: Recorder> Vmm<R> {
             batch_bufs: (0..cfg.cores).map(|_| Mutex::new(Vec::new())).collect(),
             batch_pending: (0..cfg.cores).map(|_| AtomicUsize::new(0)).collect(),
             batch_seq: AtomicU64::new(0),
-            batch_limit: AtomicUsize::new(DEFAULT_POLICY_BATCH),
-            policy_seq_override: (0..cfg.cores).map(|_| AtomicU64::new(u64::MAX)).collect(),
             flush_scratch: Mutex::new(Vec::new()),
             flush_events: Mutex::new(Vec::new()),
             pt_global_lock: VirtualResource::new(),
@@ -382,14 +366,6 @@ impl<R: Recorder> Vmm<R> {
         self.resident_len.iter().map(|n| n.load(Relaxed)).sum()
     }
 
-    /// Sets how many policy events a core may buffer before a flush is
-    /// forced. Decision-neutral at any value (every policy consumer
-    /// flushes first, in stamp order — see [`DEFAULT_POLICY_BATCH`]);
-    /// engines tune it purely for host-side lock traffic.
-    pub fn set_policy_batch(&self, limit: usize) {
-        self.batch_limit.store(limit.max(1), Relaxed);
-    }
-
     /// Flushes every core's buffered policy events (one policy-lock
     /// acquisition). Engines call this at run end so post-run policy
     /// queries see a fully applied event stream.
@@ -466,86 +442,18 @@ impl<R: Recorder> Vmm<R> {
 
     /// Buffers a policy event for `core`. Must be called while holding
     /// the lock of the stripe the event's block lives in, so the global
-    /// stamp orders same-block events correctly. When the core has an
-    /// active sequence override (sharded commit), stamps come from the
-    /// pre-reserved window instead of the shared counter — see
-    /// [`Vmm::begin_policy_seq_override`].
+    /// stamp orders same-block events correctly.
     fn push_policy_event(&self, core: CoreId, ev: PolicyEvent) {
-        let ov = &self.policy_seq_override[core.index()];
-        let cur = ov.load(Relaxed);
-        let seq = if cur != u64::MAX {
-            ov.store(cur + 1, Relaxed);
-            cur
-        } else {
-            self.batch_seq.fetch_add(1, Relaxed)
-        };
+        let seq = self.batch_seq.fetch_add(1, Relaxed);
         let mut buf = self.batch_bufs[core.index()].lock();
         buf.push((seq, ev));
         self.batch_pending[core.index()].store(buf.len(), Relaxed);
     }
 
-    /// Current policy-event batch limit (so an engine can save and
-    /// restore it around a suppressed-flush region).
-    pub fn policy_batch_limit(&self) -> usize {
-        self.batch_limit.load(Relaxed)
-    }
-
-    /// Reserves `count` consecutive policy-event sequence stamps and
-    /// returns the first. Engine-side: called at a quiescent point
-    /// (every worker parked at a barrier) to pre-assign stamp windows to
-    /// entries that will commit concurrently.
-    pub fn reserve_policy_seqs(&self, count: u64) -> u64 {
-        self.batch_seq.fetch_add(count, Relaxed)
-    }
-
-    /// Routes `core`'s next policy events through the pre-reserved stamp
-    /// window starting at `base` (see [`Vmm::reserve_policy_seqs`]).
-    /// Must be paired with [`Vmm::end_policy_seq_override`]; only one
-    /// host thread may drive a given core's fault path at a time.
-    pub fn begin_policy_seq_override(&self, core: CoreId, base: u64) {
-        debug_assert_ne!(base, u64::MAX, "u64::MAX is the inactive sentinel");
-        self.policy_seq_override[core.index()].store(base, Relaxed);
-    }
-
-    /// Deactivates `core`'s stamp override and returns the next unused
-    /// stamp (callers assert the entry stayed within its window).
-    pub fn end_policy_seq_override(&self, core: CoreId) -> u64 {
-        self.policy_seq_override[core.index()].swap(u64::MAX, Relaxed)
-    }
-
-    /// The deterministic commit shard of `page`'s block: the same
-    /// multiply-shift hash that selects the residency stripe, the PSPT
-    /// directory shard, and the virtual page-table lock shard, so two
-    /// fixed-size-block faults in different commit shards touch disjoint
-    /// stripe locks, disjoint directory shards, and disjoint virtual
-    /// lock resources. Meaningful for non-adaptive runs only (adaptive
-    /// runs share the buddy pool and never shard their commits).
-    pub fn commit_shard_of(&self, page: VirtPage) -> usize {
-        self.resident_shard_of(self.block_of(page))
-    }
-
-    /// Number of distinct commit shards ([`Vmm::commit_shard_of`]'s
-    /// codomain size).
-    pub fn commit_shard_count(&self) -> usize {
-        RESIDENT_SHARDS
-    }
-
-    /// Free blocks in the fixed-size frame pool, exact at quiescent
-    /// points; `None` for adaptive (buddy-pool) runs. The engine's
-    /// sharded-commit budget: as long as at most this many fresh majors
-    /// commit before any frame is freed, no allocation can fail and no
-    /// eviction can fire.
-    pub fn pool_free_blocks(&self) -> Option<usize> {
-        match &self.frames {
-            Frames::Pool(p) => Some(p.free_blocks()),
-            Frames::Buddy(_) => None,
-        }
-    }
-
     /// Flushes if `core`'s buffer reached the batch limit. Called with
     /// no stripe lock held.
     fn maybe_flush(&self, core: CoreId) {
-        if self.batch_pending[core.index()].load(Relaxed) >= self.batch_limit.load(Relaxed) {
+        if self.batch_pending[core.index()].load(Relaxed) >= POLICY_BATCH {
             self.flush_policy_events();
         }
     }
@@ -1377,7 +1285,7 @@ impl<R: Recorder> Vmm<R> {
         // Residency transitions serialize on the block's stripe lock;
         // policy notifications are deferred into the per-core batch
         // buffer and applied under one policy-lock acquisition per
-        // `batch_limit` events.
+        // `POLICY_BATCH` events.
         let shard_idx = self.resident_shard_of(head);
         let kind = 'fault: loop {
             let mut shard = self.lock_resident_shard(core, shard_idx);
@@ -2211,8 +2119,8 @@ mod tests {
     fn spurious_fault_under_regular_tables() {
         let v = Vmm::new(KernelConfig::new(2, 4).with_scheme(SchemeChoice::Regular));
         v.handle_fault(CoreId(0), VirtPage(0), false);
-        // Core 1 faults the same (already mapped) block — e.g. a stale
-        // TLB-miss race in the parallel engine.
+        // Core 1 faults the same (already mapped) block — e.g. after a
+        // stale TLB miss.
         let k = v.handle_fault(CoreId(1), VirtPage(0), false);
         assert_eq!(k, FaultKind::Spurious);
         assert_eq!(v.resident_blocks(), 1);

@@ -1,32 +1,18 @@
-//! The unified sharded discrete-event engine.
+//! The epoch engine: one sequential loop over virtual-time epochs.
 //!
-//! One event-advance code path serves every thread count; `threads = 1`
-//! *is* the deterministic engine, and any other count produces the
-//! byte-identical report. Execution alternates two phases separated by
-//! host-side sense-reversing barriers:
+//! Each epoch has two phases:
 //!
-//! * **Phase A (parallel):** simulated cores are partitioned round-robin
-//!   across workers; each worker advances its *running* cores freely
-//!   until they reach the epoch ceiling or park at a kernel entry (a
-//!   failed page walk, a syscall, a rendezvous barrier) — see
-//!   [`crate::runner::Pause`]. Phase A touches only frozen kernel state:
-//!   page-table reads, commutative accessed/dirty PTE bits, and each
-//!   core's own TLB/clock/stats, so its outcome per core is independent
-//!   of scheduling.
-//! * **Phase B (sharded commit + sequential reconciliation):** the
-//!   epoch's parked kernel entries and due maintenance timers, all
-//!   strictly below the ceiling, are sorted by the total order
-//!   `(virtual_time, event_rank, core_id)` and *classified*. A prefix
-//!   of entries whose effects provably stay inside one commit shard
-//!   (PSPT minor faults, and fresh majors within the epoch's frame-pool
-//!   budget — see [`cmcp_kernel::Vmm::commit_shard_of`]) is committed by
-//!   all workers concurrently, each worker owning a disjoint set of
-//!   shards and draining its entries in local stamp order. Everything
-//!   from the first cross-shard entry onward — evictions, DMA-touching
-//!   refaults, syscalls, scan ticks, PSPT rebuilds, every regular-table
-//!   or adaptive-mode entry — is the *reconciliation tail*, committed by
-//!   worker 0 sequentially in exact stamp order. DESIGN.md §14 carries
-//!   the proof that this equals the pure sequential fold byte-for-byte.
+//! * **Phase A:** every *running* core, in index order, advances until
+//!   it reaches the epoch ceiling or parks at a kernel entry (a failed
+//!   page walk, a syscall, a rendezvous barrier) — see
+//!   [`crate::runner::Pause`]. Phase A touches only kernel state that no
+//!   other core's phase A changes: page-table reads, commutative
+//!   accessed/dirty PTE bits, and each core's own TLB/clock/stats.
+//! * **Phase B:** the epoch's parked kernel entries and due maintenance
+//!   timers, all strictly below the ceiling, are sorted by the total
+//!   order `(virtual_time, event_rank, core_id)` and committed in that
+//!   order. The epilogue then releases a completed rendezvous, detects
+//!   the end of the run, and sets the next ceiling.
 //!
 //! The epoch ceiling is `min(next event time) + W` where `W` is
 //! [`cmcp_arch::CostModel::min_cross_core_latency`]: since every kernel
@@ -40,69 +26,28 @@
 //! and parked stamps) lies beyond `min + W`, the ceiling jumps straight
 //! to it — the merged epochs are exactly the no-op epochs a fixed
 //! window would burn creeping a lone straggler forward, so the bytes
-//! cannot move (§14).
+//! cannot move (DESIGN.md §12).
 //!
-//! Because the ceiling is a pure function of simulated state, phase A is
-//! per-core independent, and phase B commits in a provably
-//! fold-equivalent order, `(seed, config) → byte-identical RunReport`
-//! at any thread count.
-
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-// The sleep tier needs a real OS condvar (the parking_lot shim is
-// spin-only by design); the barrier gate is cold, so std's poisoning
-// overhead is irrelevant there.
-use std::sync::{Condvar, Mutex as StdMutex};
-
-use parking_lot::Mutex;
+//! The ceiling is a pure function of simulated state and phase B
+//! commits in a total order, so `(seed, config) → byte-identical
+//! RunReport`.
 
 use cmcp_arch::{CoreId, Cycles, VirtPage};
-use cmcp_kernel::{SchemeChoice, Syscall, Vmm};
+use cmcp_kernel::{Syscall, Vmm};
 use cmcp_trace::{EventKind, Recorder};
 
 use crate::report::{EngineScaling, RunReport};
 use crate::runner::{CoreRunner, Pause};
 use crate::trace::Trace;
 
-/// Host-side (thread-count- and machine-dependent) scaling counters for
-/// one run. These never enter the byte-compared [`RunReport`] — repeat
-/// runs at the same thread count produce identical reports but may
-/// spin or sleep differently at the barriers.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HostScaling {
-    /// Worker threads the engine actually ran (after clamping to the
-    /// simulated core count).
-    pub threads: usize,
-    /// Epochs whose shardable prefix was large enough to commit
-    /// concurrently (the two extra barrier crossings were paid).
-    pub parallel_rounds: u64,
-    /// Barrier-wait spin iterations across all workers.
-    pub barrier_spins: u64,
-    /// Barrier-wait `yield_now` calls across all workers.
-    pub barrier_yields: u64,
-    /// Barrier waits that fell through to a condvar sleep (the
-    /// oversubscription tier: waiters stop burning a core).
-    pub barrier_sleeps: u64,
-}
-
-/// Engine tuning seams, exposed for tests.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EngineOptions {
-    /// Commit every entry on worker 0 in pure stamp order even when a
-    /// shardable prefix exists — the reference sequential fold the
-    /// sharded path is property-tested against. Classification still
-    /// runs (the scaling counters must not depend on execution mode).
-    pub force_sequential_commit: bool,
-}
-
 /// Where a core stands between epochs.
 #[derive(Clone, Copy)]
 enum Status {
     /// Advancing in phase A.
     Running,
-    /// Parked in the fault trap; the committer runs the handler.
+    /// Parked in the fault trap; phase B runs the handler.
     Fault { page: VirtPage, write: bool },
-    /// Parked on an offloaded syscall; the committer executes it.
+    /// Parked on an offloaded syscall; phase B executes it.
     Syscall { call: Syscall },
     /// Arrived at its rendezvous barrier this epoch (not yet noted).
     Arrived,
@@ -113,194 +58,13 @@ enum Status {
     Done,
 }
 
-/// One core's parked state, written by its worker at the end of phase A
-/// and read/updated by the committer in phase B. The mutex is never
-/// contended across phases (the host barrier separates them); it exists
-/// so the engine stays within `forbid(unsafe_code)`.
+/// One core's parked state, written at the end of its phase A and read
+/// and updated by phase B.
+#[derive(Clone, Copy)]
 struct Slot {
     status: Status,
     /// Virtual time at which the core parked (== its clock then).
     stamp: Cycles,
-}
-
-/// Spin iterations before a barrier waiter starts yielding.
-const BARRIER_SPIN_LIMIT: u64 = 256;
-/// `yield_now` calls before a waiter falls through to a condvar sleep.
-/// Bounded so an oversubscribed run (threads > host CPUs) parks its
-/// surplus waiters instead of convoying the scheduler forever.
-const BARRIER_YIELD_LIMIT: u64 = 128;
-
-/// Host-side sense-reversing barrier with a poison bit: a worker that
-/// panics poisons it on unwind so the survivors return instead of
-/// spinning forever, the scope join completes, and the original panic
-/// propagates to the caller.
-///
-/// Waiting is three-tier — bounded spin, bounded `yield_now`, then a
-/// condvar sleep — so threads ≤ cores cross in nanoseconds while an
-/// oversubscribed run stops burning a host core per waiter.
-struct PhaseBarrier {
-    parties: usize,
-    arrived: AtomicUsize,
-    generation: AtomicUsize,
-    poisoned: AtomicBool,
-    /// Waiters currently registered on the sleep tier; reads and writes
-    /// are serialized by `gate`, so a releaser can only miss a sleeper
-    /// that will re-check the generation under the same lock.
-    sleepers: AtomicUsize,
-    gate: StdMutex<()>,
-    wake: Condvar,
-    // Host-side wait accounting (Relaxed; reported via `HostScaling`).
-    spins: AtomicU64,
-    yields: AtomicU64,
-    sleeps: AtomicU64,
-}
-
-impl PhaseBarrier {
-    fn new(parties: usize) -> PhaseBarrier {
-        PhaseBarrier {
-            parties,
-            arrived: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-            poisoned: AtomicBool::new(false),
-            sleepers: AtomicUsize::new(0),
-            gate: StdMutex::new(()),
-            wake: Condvar::new(),
-            spins: AtomicU64::new(0),
-            yields: AtomicU64::new(0),
-            sleeps: AtomicU64::new(0),
-        }
-    }
-
-    /// Blocks until all parties arrive. Returns `false` if the barrier
-    /// was poisoned (a sibling worker panicked) — callers bail out.
-    ///
-    /// Ordering: each arrival's `AcqRel` RMW on `arrived` joins the
-    /// release sequence, so the last arriver's `Release` store to
-    /// `generation` publishes *every* party's prior writes; a waiter's
-    /// `Acquire` load of the new generation therefore sees all phase
-    /// work that preceded the barrier, and the `arrived` reset by the
-    /// releaser happens-before any re-arrival at the next generation.
-    /// The sleep tier re-checks the generation under `gate`, which the
-    /// releaser's store also holds — the classic monitor pattern, so a
-    /// waiter can never sleep through a release.
-    fn wait(&self) -> bool {
-        if self.poisoned.load(Ordering::Acquire) {
-            return false;
-        }
-        if self.parties == 1 {
-            return true;
-        }
-        let gen = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
-            self.arrived.store(0, Ordering::Relaxed);
-            let any_sleepers = {
-                let _g = self.gate.lock().unwrap_or_else(|e| e.into_inner());
-                self.generation
-                    .store(gen.wrapping_add(1), Ordering::Release);
-                self.sleepers.load(Ordering::Relaxed) > 0
-            };
-            if any_sleepers {
-                self.wake.notify_all();
-            }
-            true
-        } else {
-            let mut spins = 0u64;
-            let mut yields = 0u64;
-            let crossed = loop {
-                if self.generation.load(Ordering::Acquire) != gen {
-                    break true;
-                }
-                if self.poisoned.load(Ordering::Acquire) {
-                    break false;
-                }
-                if spins < BARRIER_SPIN_LIMIT {
-                    spins += 1;
-                    std::hint::spin_loop();
-                } else if yields < BARRIER_YIELD_LIMIT {
-                    yields += 1;
-                    std::thread::yield_now();
-                } else {
-                    self.sleeps.fetch_add(1, Ordering::Relaxed);
-                    let mut g = self.gate.lock().unwrap_or_else(|e| e.into_inner());
-                    self.sleepers.fetch_add(1, Ordering::Relaxed);
-                    while self.generation.load(Ordering::Acquire) == gen
-                        && !self.poisoned.load(Ordering::Acquire)
-                    {
-                        g = self.wake.wait(g).unwrap_or_else(|e| e.into_inner());
-                    }
-                    self.sleepers.fetch_sub(1, Ordering::Relaxed);
-                    drop(g);
-                    break self.generation.load(Ordering::Acquire) != gen
-                        || !self.poisoned.load(Ordering::Acquire);
-                }
-            };
-            if spins > 0 {
-                self.spins.fetch_add(spins, Ordering::Relaxed);
-            }
-            if yields > 0 {
-                self.yields.fetch_add(yields, Ordering::Relaxed);
-            }
-            crossed && !self.poisoned.load(Ordering::Acquire)
-        }
-    }
-
-    fn poison(&self) {
-        self.poisoned.store(true, Ordering::Release);
-        // Take and drop the gate so a sleeper past its predicate check
-        // cannot miss the notify, then wake everyone.
-        drop(self.gate.lock().unwrap_or_else(|e| e.into_inner()));
-        self.wake.notify_all();
-    }
-}
-
-/// Poisons the phase barrier when a worker unwinds, so a panic surfaces
-/// instead of wedging the surviving workers.
-struct PoisonOnPanic<'a>(&'a PhaseBarrier);
-
-impl Drop for PoisonOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.poison();
-        }
-    }
-}
-
-/// One shard-local commit: a parked fault the classifier proved cannot
-/// escape its commit shard this epoch. `seq_base` is the entry's
-/// pre-reserved policy-event stamp window (global commit order), so the
-/// merged policy stream sorts identically to the sequential fold no
-/// matter which worker runs the entry.
-#[derive(Clone, Copy)]
-struct ShardTask {
-    core: usize,
-    page: VirtPage,
-    write: bool,
-    seq_base: u64,
-}
-
-/// Policy-event stamps reserved per shardable entry. A shard-committed
-/// fault pushes at most one event (minor `MapCount` or fresh-major
-/// `Insert`); the headroom is asserted in debug builds.
-const SEQ_STRIDE: u64 = 4;
-
-/// State shared by all workers for one run.
-struct Shared {
-    slots: Vec<Mutex<Slot>>,
-    /// Epoch ceiling: phase A advances running cores while their clocks
-    /// are strictly below it. Written by the committer, read by all.
-    ceiling: AtomicU64,
-    finished: AtomicBool,
-    barrier: PhaseBarrier,
-    /// Whether this epoch runs a concurrent shard-commit round (two
-    /// extra barrier crossings). Written by worker 0 during planning,
-    /// read by everyone after the plan barrier.
-    parallel_round: AtomicBool,
-    /// Epochs that actually committed concurrently (host-side counter).
-    parallel_rounds: AtomicU64,
-    /// Per-worker shard-task queues for the current parallel round, in
-    /// global stamp order (same-shard tasks land on the same worker, so
-    /// per-worker order implies per-shard stamp order).
-    assignments: Vec<Mutex<Vec<ShardTask>>>,
 }
 
 /// What a phase-B candidate commits.
@@ -310,16 +74,9 @@ enum EntryKind {
     Scan,
     /// Periodic PSPT rebuild.
     Rebuild,
-    /// A parked page fault; `shard` is its commit shard and `shardable`
-    /// the classifier's verdict (only meaningful inside the prefix).
-    Fault {
-        page: VirtPage,
-        write: bool,
-        shard: usize,
-        shardable: bool,
-    },
-    /// A parked offloaded syscall (always reconciliation class: the IKC
-    /// ring and offload engine are shared, order-sensitive resources).
+    /// A parked page fault.
+    Fault { page: VirtPage, write: bool },
+    /// A parked offloaded syscall.
     Syscall { call: Syscall },
 }
 
@@ -337,7 +94,6 @@ struct Cand {
 
 /// The phase-B state: maintenance timers, the rendezvous counter, the
 /// epoch window, the candidate scratch, and the scaling counters.
-/// Owned by worker 0.
 struct Committer {
     window: Cycles,
     scanning: bool,
@@ -346,35 +102,30 @@ struct Committer {
     rebuild_period: Cycles,
     next_rebuild: Cycles,
     barrier_seq: u64,
-    threads: usize,
-    force_sequential: bool,
     /// Fast-forward is sound only while no maintenance timer is armed
     /// (a timer firing mid-merged-epoch would fire at a different point
     /// in the straggler's progress than under the base window).
     fast_forward: bool,
     /// Reused per-epoch candidate buffer (sorted commit order).
     cands: Vec<Cand>,
-    /// Where the reconciliation tail starts in `cands` for the epoch in
-    /// flight (parallel rounds only).
-    tail_start: usize,
-    /// Batch limit to restore after a suppressed-flush parallel round.
-    saved_batch: usize,
     scaling: EngineScaling,
 }
 
 impl Committer {
-    /// Folds rendezvous arrivals, collects and classifies this epoch's
-    /// candidates, and either commits everything inline (sequential
-    /// epochs: no extra barriers) or publishes the shard plan and lets
-    /// every worker commit its disjoint shards. Runs with every worker
-    /// parked at the host barrier, so it owns all simulated state.
-    fn plan_and_commit<R: Recorder>(&mut self, vmm: &Vmm<R>, shared: &Shared) {
-        let ceiling = shared.ceiling.load(Ordering::Relaxed);
+    /// Phase B of the epoch that ran up to `ceiling`: folds rendezvous
+    /// arrivals, commits every candidate below the ceiling in stamp
+    /// order, and runs the epilogue. Returns the next ceiling, or `None`
+    /// once every core is done.
+    fn commit_epoch<R: Recorder>(
+        &mut self,
+        vmm: &Vmm<R>,
+        slots: &mut [Slot],
+        ceiling: Cycles,
+    ) -> Option<Cycles> {
         self.scaling.epochs += 1;
 
         // Note this epoch's rendezvous arrivals.
-        for slot in &shared.slots {
-            let mut s = slot.lock();
+        for s in slots.iter_mut() {
             if matches!(s.status, Status::Arrived) {
                 s.status = Status::Waiting;
             }
@@ -383,8 +134,8 @@ impl Committer {
         // Collect every candidate strictly below the ceiling. Committing
         // an entry can neither add nor remove candidates within this
         // phase (an unparked core only resumes next phase A; timers'
-        // later firings are enumerated here), so one collection pass is
-        // equivalent to the old per-round min-scan.
+        // later firings are enumerated here), so one collection pass
+        // suffices.
         self.cands.clear();
         if self.scanning {
             let mut t = self.next_scan;
@@ -410,140 +161,27 @@ impl Committer {
                 t += self.rebuild_period;
             }
         }
-        for (i, slot) in shared.slots.iter().enumerate() {
-            let s = slot.lock();
+        for (i, s) in slots.iter().enumerate() {
             if s.stamp >= ceiling {
                 continue;
             }
-            match s.status {
-                Status::Fault { page, write } => self.cands.push(Cand {
-                    time: s.stamp,
-                    rank: 2,
-                    core: i,
-                    kind: EntryKind::Fault {
-                        page,
-                        write,
-                        shard: 0,
-                        shardable: false,
-                    },
-                }),
-                Status::Syscall { call } => self.cands.push(Cand {
-                    time: s.stamp,
-                    rank: 2,
-                    core: i,
-                    kind: EntryKind::Syscall { call },
-                }),
-                _ => {}
-            }
+            let kind = match s.status {
+                Status::Fault { page, write } => EntryKind::Fault { page, write },
+                Status::Syscall { call } => EntryKind::Syscall { call },
+                _ => continue,
+            };
+            self.cands.push(Cand {
+                time: s.stamp,
+                rank: 2,
+                core: i,
+                kind,
+            });
         }
         self.cands
             .sort_unstable_by_key(|c| (c.time, c.rank, c.core));
+        self.scaling.reconciled += self.cands.len() as u64;
 
-        // Conservative classification (DESIGN.md §14): the shardable
-        // prefix ends at the first entry whose effects might escape its
-        // commit shard. Within the prefix, a fault is shard-local iff
-        // the scheme is PSPT (per-block directory shards + sharded PT
-        // locks), the allocator is the fixed-size pool (the buddy pool
-        // is one global resource), and the fault is either minor (block
-        // resident: PTE copy only) or a *fresh* major — no backing copy
-        // to DMA in, and within the epoch's free-block budget so no
-        // eviction can fire. Classification runs at every thread count
-        // so the scaling counters stay thread-invariant. Multi-node
-        // NUMA runs are never shardable: every commit's home/spill and
-        // replica decisions read the shared per-node books, so they all
-        // take the sequential reconciliation tail (deterministic at any
-        // thread count by construction — DESIGN.md §15).
-        let sharded_scheme = vmm.config().scheme == SchemeChoice::Pspt
-            && !vmm.config().adaptive
-            && vmm.config().cost.numa.is_single();
-        let budget = vmm.pool_free_blocks().unwrap_or(0);
-        let mut majors = 0usize;
-        let mut prefix = 0usize;
-        for c in self.cands.iter_mut() {
-            let EntryKind::Fault {
-                page,
-                ref mut shard,
-                ref mut shardable,
-                ..
-            } = c.kind
-            else {
-                break;
-            };
-            if !sharded_scheme {
-                break;
-            }
-            if vmm.block_resident(page) {
-                // Minor: resident-map read + sibling PTE copy, all under
-                // this block's stripe/directory/lock shard.
-                *shard = vmm.commit_shard_of(page);
-                *shardable = true;
-            } else if !vmm.backing_contains(page) && majors < budget {
-                // Fresh major: pool pop (no eviction possible within the
-                // budget — nothing frees frames mid-prefix), map, insert.
-                majors += 1;
-                *shard = vmm.commit_shard_of(page);
-                *shardable = true;
-            } else {
-                break;
-            }
-            prefix += 1;
-        }
-        self.scaling.committed += self.cands.len() as u64;
-        self.scaling.shardable += prefix as u64;
-        self.scaling.reconciled += (self.cands.len() - prefix) as u64;
-
-        // Two extra barrier crossings only pay off when every worker
-        // gets something to do.
-        let go_parallel =
-            !self.force_sequential && self.threads > 1 && prefix >= self.threads.max(2);
-        if go_parallel {
-            let base = vmm.reserve_policy_seqs(prefix as u64 * SEQ_STRIDE);
-            // Suppress threshold flushes for the round: a flush drains
-            // *all* cores' buffers, which must not happen while another
-            // worker is mid-push. Decision-neutral (see the kernel's
-            // batch-limit contract); restored before the tail commits.
-            self.saved_batch = vmm.policy_batch_limit();
-            vmm.set_policy_batch(usize::MAX);
-            for (idx, c) in self.cands[..prefix].iter().enumerate() {
-                let EntryKind::Fault {
-                    page, write, shard, ..
-                } = c.kind
-                else {
-                    unreachable!("prefix holds faults only");
-                };
-                shared.assignments[shard % self.threads]
-                    .lock()
-                    .push(ShardTask {
-                        core: c.core,
-                        page,
-                        write,
-                        seq_base: base + idx as u64 * SEQ_STRIDE,
-                    });
-            }
-            self.tail_start = prefix;
-            shared.parallel_rounds.fetch_add(1, Ordering::Relaxed);
-            shared.parallel_round.store(true, Ordering::Release);
-        } else {
-            shared.parallel_round.store(false, Ordering::Relaxed);
-            self.commit_range(vmm, shared, 0, self.cands.len());
-            self.epilogue(vmm, shared);
-        }
-    }
-
-    /// Parallel rounds only: restores the flush threshold, commits the
-    /// reconciliation tail in stamp order, and closes the epoch.
-    fn commit_tail<R: Recorder>(&mut self, vmm: &Vmm<R>, shared: &Shared) {
-        vmm.set_policy_batch(self.saved_batch);
-        self.commit_range(vmm, shared, self.tail_start, self.cands.len());
-        shared.parallel_round.store(false, Ordering::Relaxed);
-        self.epilogue(vmm, shared);
-    }
-
-    /// Commits `cands[from..to]` in order on this thread — the
-    /// sequential fold over that range.
-    fn commit_range<R: Recorder>(&mut self, vmm: &Vmm<R>, shared: &Shared, from: usize, to: usize) {
-        for idx in from..to {
-            let c = self.cands[idx];
+        for c in &self.cands {
             match c.kind {
                 EntryKind::Scan => {
                     vmm.scan_tick();
@@ -553,8 +191,8 @@ impl Committer {
                     vmm.rebuild_pspt();
                     self.next_rebuild += self.rebuild_period;
                 }
-                EntryKind::Fault { page, write, .. } => {
-                    // A commit earlier in this fold (another core's fault
+                EntryKind::Fault { page, write } => {
+                    // A commit earlier in this epoch (another core's fault
                     // on the same block, under the shared regular table)
                     // may have installed the mapping since this core's
                     // walk failed in phase A. Hardware retries the walk
@@ -563,23 +201,24 @@ impl Committer {
                     if vmm.translate(CoreId(c.core as u16), page).is_none() {
                         vmm.handle_fault(CoreId(c.core as u16), page, write);
                     }
-                    shared.slots[c.core].lock().status = Status::Running;
+                    slots[c.core].status = Status::Running;
                 }
                 EntryKind::Syscall { call } => {
                     vmm.offload_syscall(CoreId(c.core as u16), call);
-                    shared.slots[c.core].lock().status = Status::Running;
+                    slots[c.core].status = Status::Running;
                 }
             }
         }
+        self.epilogue(vmm, slots)
     }
 
     /// Epoch close-out: rendezvous release, finish detection, and the
     /// next ceiling (with the timer-free fast-forward).
-    fn epilogue<R: Recorder>(&mut self, vmm: &Vmm<R>, shared: &Shared) {
+    fn epilogue<R: Recorder>(&mut self, vmm: &Vmm<R>, slots: &mut [Slot]) -> Option<Cycles> {
         let mut live = 0usize;
         let mut waiting = 0usize;
-        for slot in &shared.slots {
-            match slot.lock().status {
+        for s in slots.iter() {
+            match s.status {
                 Status::Done => {}
                 Status::Waiting => {
                     live += 1;
@@ -591,8 +230,7 @@ impl Committer {
 
         if live == 0 {
             vmm.flush_policy_events();
-            shared.finished.store(true, Ordering::Release);
-            return;
+            return None;
         }
 
         // Rendezvous release: all live cores resume at the maximum
@@ -600,16 +238,14 @@ impl Committer {
         // This happens *before* the ceiling recomputation so waiting
         // cores rejoin the min().
         if waiting == live {
-            let release = shared
-                .slots
+            let release = slots
                 .iter()
                 .enumerate()
-                .filter(|(_, s)| matches!(s.lock().status, Status::Waiting))
+                .filter(|(_, s)| matches!(s.status, Status::Waiting))
                 .map(|(i, _)| vmm.clocks()[i].now())
                 .max()
                 .unwrap_or(0);
-            for (i, slot) in shared.slots.iter().enumerate() {
-                let mut s = slot.lock();
+            for (i, s) in slots.iter_mut().enumerate() {
                 if matches!(s.status, Status::Waiting) {
                     if R::ENABLED {
                         let arrived = vmm.clocks()[i].now();
@@ -643,11 +279,10 @@ impl Committer {
         // nothing of anyone else's, and delivered nothing (posts only
         // happen at commits the straggler itself triggers, which end
         // its phase A anyway) — pure no-ops, so merging them cannot
-        // move a byte (§14).
+        // move a byte (DESIGN.md §12).
         let mut m1 = u64::MAX;
         let mut m2 = u64::MAX;
-        for (i, slot) in shared.slots.iter().enumerate() {
-            let s = slot.lock();
+        for (i, s) in slots.iter().enumerate() {
             let bound = match s.status {
                 Status::Running => vmm.clocks()[i].now(),
                 Status::Fault { .. } | Status::Syscall { .. } => s.stamp,
@@ -663,151 +298,26 @@ impl Committer {
         }
         debug_assert_ne!(m1, u64::MAX, "a live core must bound the ceiling");
         let base = m1.saturating_add(self.window);
-        let ceiling = if self.fast_forward && m2 > base {
+        Some(if self.fast_forward && m2 > base {
             self.scaling.fast_forwards += 1;
             m2
         } else {
             base
-        };
-        shared.ceiling.store(ceiling, Ordering::Release);
+        })
     }
 }
 
-/// Commits one shard-local task: the same re-probe + handler the
-/// sequential fold runs, with the entry's pre-assigned policy-event
-/// stamp window active.
-fn commit_shard_task<R: Recorder>(vmm: &Vmm<R>, shared: &Shared, t: ShardTask) {
-    let core = CoreId(t.core as u16);
-    vmm.begin_policy_seq_override(core, t.seq_base);
-    if vmm.translate(core, t.page).is_none() {
-        vmm.handle_fault(core, t.page, t.write);
-    }
-    let next = vmm.end_policy_seq_override(core);
-    debug_assert!(
-        next >= t.seq_base && next - t.seq_base <= SEQ_STRIDE,
-        "shard-committed entry overflowed its stamp window"
-    );
-    shared.slots[t.core].lock().status = Status::Running;
-}
-
-/// One worker's loop: advance owned cores to the ceiling (phase A),
-/// rendezvous, let worker 0 plan/commit (phase B) — with two extra
-/// crossings bracketing the concurrent shard round when one is on —
-/// rendezvous, repeat.
-fn worker<R: Recorder, F: Fn(usize) + Sync>(
-    id: usize,
-    cores: &mut [(usize, CoreRunner)],
-    vmm: &Vmm<R>,
-    trace: &Trace,
-    shared: &Shared,
-    hook: &F,
-    mut committer: Option<&mut Committer>,
-) {
-    let _poison = PoisonOnPanic(&shared.barrier);
-    loop {
-        hook(id);
-        let ceiling = shared.ceiling.load(Ordering::Acquire);
-        for (i, runner) in cores.iter_mut() {
-            let i = *i;
-            if !matches!(shared.slots[i].lock().status, Status::Running) {
-                continue;
-            }
-            let pause = runner.advance(vmm, &trace.cores[i], ceiling);
-            let mut slot = shared.slots[i].lock();
-            slot.stamp = vmm.clocks()[i].now();
-            slot.status = match pause {
-                Pause::Ceiling => Status::Running,
-                Pause::Fault { page, write } => Status::Fault { page, write },
-                Pause::Syscall { call } => Status::Syscall { call },
-                Pause::Barrier => Status::Arrived,
-                Pause::Done => Status::Done,
-            };
-        }
-        if !shared.barrier.wait() {
-            return;
-        }
-        if let Some(c) = committer.as_mut() {
-            c.plan_and_commit(vmm, shared);
-        }
-        if !shared.barrier.wait() {
-            return;
-        }
-        if shared.parallel_round.load(Ordering::Acquire) {
-            {
-                let mut tasks = shared.assignments[id].lock();
-                for t in tasks.drain(..) {
-                    commit_shard_task(vmm, shared, t);
-                }
-            }
-            if !shared.barrier.wait() {
-                return;
-            }
-            if let Some(c) = committer.as_mut() {
-                c.commit_tail(vmm, shared);
-            }
-            if !shared.barrier.wait() {
-                return;
-            }
-        }
-        if shared.finished.load(Ordering::Acquire) {
-            return;
-        }
-    }
-}
-
-/// Runs `trace` against `vmm` on `threads` host workers and returns the
-/// report. The report is byte-identical for every `threads` value.
+/// Runs `trace` against `vmm` and returns the report.
+///
+/// The engine is one sequential loop. `threads` is kept only for the
+/// API contract it had when the engine ran on host worker threads: `0`
+/// is rejected with a panic, and every other value runs the same loop
+/// and returns the same report.
 ///
 /// Panics if `threads == 0`, if the trace shape is invalid (mismatched
 /// barrier counts), or if the trace's core count differs from the
 /// kernel's.
 pub fn run<R: Recorder>(vmm: &Vmm<R>, trace: &Trace, threads: usize) -> RunReport {
-    run_with_host_stats(vmm, trace, threads).0
-}
-
-/// [`run`], additionally returning the host-side (thread- and
-/// machine-dependent) scaling counters: barrier wait tiers and the
-/// number of concurrently committed rounds.
-pub fn run_with_host_stats<R: Recorder>(
-    vmm: &Vmm<R>,
-    trace: &Trace,
-    threads: usize,
-) -> (RunReport, HostScaling) {
-    run_core(vmm, trace, threads, &|_| {}, EngineOptions::default())
-}
-
-/// [`run`] with a per-worker, per-epoch hook — a test seam for fault
-/// injection into the host-threading layer (e.g. proving that a worker
-/// panic surfaces instead of wedging the run).
-#[doc(hidden)]
-pub fn run_with_worker_hook<R: Recorder, F: Fn(usize) + Sync>(
-    vmm: &Vmm<R>,
-    trace: &Trace,
-    threads: usize,
-    hook: &F,
-) -> RunReport {
-    run_core(vmm, trace, threads, hook, EngineOptions::default()).0
-}
-
-/// [`run`] with explicit [`EngineOptions`] — the property-test seam for
-/// comparing the sharded commit path against the pure sequential fold.
-#[doc(hidden)]
-pub fn run_with_options<R: Recorder>(
-    vmm: &Vmm<R>,
-    trace: &Trace,
-    threads: usize,
-    opts: EngineOptions,
-) -> (RunReport, HostScaling) {
-    run_core(vmm, trace, threads, &|_| {}, opts)
-}
-
-fn run_core<R: Recorder, F: Fn(usize) + Sync>(
-    vmm: &Vmm<R>,
-    trace: &Trace,
-    threads: usize,
-    hook: &F,
-    opts: EngineOptions,
-) -> (RunReport, HostScaling) {
     assert!(threads > 0, "engine thread count must be >= 1");
     trace.validate().expect("invalid trace");
     let n = trace.cores.len();
@@ -818,24 +328,6 @@ fn run_core<R: Recorder, F: Fn(usize) + Sync>(
     );
 
     let window = vmm.cost().min_cross_core_latency();
-    let threads = threads.min(n.max(1));
-    let shared = Shared {
-        slots: (0..n)
-            .map(|_| {
-                Mutex::new(Slot {
-                    status: Status::Running,
-                    stamp: 0,
-                })
-            })
-            .collect(),
-        // All clocks start at zero, so the first ceiling is the window.
-        ceiling: AtomicU64::new(window),
-        finished: AtomicBool::new(n == 0),
-        barrier: PhaseBarrier::new(threads),
-        parallel_round: AtomicBool::new(false),
-        parallel_rounds: AtomicU64::new(0),
-        assignments: (0..threads).map(|_| Mutex::new(Vec::new())).collect(),
-    };
     let scanning = vmm.wants_periodic_scan();
     let rebuild_period = vmm.rebuild_period();
     let mut committer = Committer {
@@ -846,108 +338,52 @@ fn run_core<R: Recorder, F: Fn(usize) + Sync>(
         rebuild_period,
         next_rebuild: rebuild_period,
         barrier_seq: 0,
-        threads,
-        force_sequential: opts.force_sequential_commit,
         fast_forward: !scanning && rebuild_period == 0,
         cands: Vec::new(),
-        tail_start: 0,
-        saved_batch: 0,
         scaling: EngineScaling::default(),
     };
+    let mut runners: Vec<CoreRunner> = (0..n)
+        .map(|i| CoreRunner::new(CoreId(i as u16), vmm))
+        .collect();
+    let mut slots = vec![
+        Slot {
+            status: Status::Running,
+            stamp: 0,
+        };
+        n
+    ];
 
-    // Core i belongs to worker i % threads, like the old parallel
-    // engine's chunking — neighbours spread across workers.
-    let mut chunks: Vec<Vec<(usize, CoreRunner)>> = (0..threads).map(|_| Vec::new()).collect();
-    for i in 0..n {
-        chunks[i % threads].push((i, CoreRunner::new(CoreId(i as u16), vmm)));
-    }
-
-    if n > 0 {
-        if threads == 1 {
-            // The degenerate case: phase A and phase B alternate on this
-            // thread with no spawns and free barriers — the deterministic
-            // engine, by construction rather than by a separate code path.
-            worker(
-                0,
-                &mut chunks[0],
-                vmm,
-                trace,
-                &shared,
-                hook,
-                Some(&mut committer),
-            );
-        } else {
-            let (chunk0, rest) = chunks.split_at_mut(1);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = rest
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(k, chunk)| {
-                        let shared = &shared;
-                        scope.spawn(move || worker(k + 1, chunk, vmm, trace, shared, hook, None))
-                    })
-                    .collect();
-                worker(
-                    0,
-                    &mut chunk0[0],
-                    vmm,
-                    trace,
-                    &shared,
-                    hook,
-                    Some(&mut committer),
-                );
-                // Join explicitly so a panicked worker's original payload
-                // propagates (the scope's implicit join would replace it
-                // with "a scoped thread panicked").
-                for h in handles {
-                    if let Err(payload) = h.join() {
-                        std::panic::resume_unwind(payload);
-                    }
-                }
-            });
+    // All clocks start at zero, so the first ceiling is the window.
+    let mut ceiling = window;
+    loop {
+        for (i, (runner, slot)) in runners.iter_mut().zip(slots.iter_mut()).enumerate() {
+            if !matches!(slot.status, Status::Running) {
+                continue;
+            }
+            let pause = runner.advance(vmm, &trace.cores[i], ceiling);
+            slot.stamp = vmm.clocks()[i].now();
+            slot.status = match pause {
+                Pause::Ceiling => Status::Running,
+                Pause::Fault { page, write } => Status::Fault { page, write },
+                Pause::Syscall { call } => Status::Syscall { call },
+                Pause::Barrier => Status::Arrived,
+                Pause::Done => Status::Done,
+            };
+        }
+        match committer.commit_epoch(vmm, &mut slots, ceiling) {
+            Some(next) => ceiling = next,
+            None => break,
         }
     }
 
-    let mut all: Vec<(usize, CoreRunner)> = chunks.into_iter().flatten().collect();
-    all.sort_by_key(|(i, _)| *i);
-    let runners: Vec<CoreRunner> = all.into_iter().map(|(_, r)| r).collect();
     let mut report = RunReport::collect(vmm, &runners, &trace.label, &config_label(vmm));
     report.scaling = committer.scaling;
-    let host = HostScaling {
-        threads,
-        parallel_rounds: shared.parallel_rounds.load(Ordering::Relaxed),
-        barrier_spins: shared.barrier.spins.load(Ordering::Relaxed),
-        barrier_yields: shared.barrier.yields.load(Ordering::Relaxed),
-        barrier_sleeps: shared.barrier.sleeps.load(Ordering::Relaxed),
-    };
-    (report, host)
+    report
 }
 
-/// Runs `trace` against `vmm` single-threaded. Kept as the familiar
-/// name for the bit-reproducible configuration; it is [`run`] with
-/// `threads = 1`, not a separate engine.
+/// Runs `trace` against `vmm`: [`run`] with `threads = 1`.
 pub fn run_deterministic<R: Recorder>(vmm: &Vmm<R>, trace: &Trace) -> RunReport {
     run(vmm, trace, 1)
-}
-
-/// Runs `trace` against `vmm` on `threads` host workers; `threads = 0`
-/// selects the available parallelism. The report is byte-identical to
-/// [`run_deterministic`]'s regardless of the count.
-pub fn run_parallel<R: Recorder>(vmm: &Vmm<R>, trace: &Trace, threads: usize) -> RunReport {
-    run(vmm, trace, resolve_threads(threads))
-}
-
-/// Resolves a thread-count request: `0` means "auto" — the host's
-/// available parallelism (what `--threads auto` and
-/// `SimulationBuilder::threads_auto` report in the run header).
-pub fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-    } else {
-        threads
-    }
 }
 
 pub(crate) fn config_label<R: Recorder>(vmm: &Vmm<R>) -> String {
@@ -1029,13 +465,9 @@ mod tests {
         // Plenty of memory: only cold faults.
         assert_eq!(r.per_core[0].page_faults, 64);
         assert_eq!(r.global.evictions, 0);
-        // The scaling counters balance and saw every fault commit.
+        // The scaling counters saw every fault commit in phase B.
         assert!(r.scaling.epochs > 0);
-        assert_eq!(
-            r.scaling.committed,
-            r.scaling.shardable + r.scaling.reconciled
-        );
-        assert!(r.scaling.committed >= 128, "both cores' faults commit");
+        assert!(r.scaling.reconciled >= 128, "both cores' faults commit");
     }
 
     #[test]
@@ -1050,50 +482,16 @@ mod tests {
     }
 
     #[test]
-    fn reports_are_byte_identical_across_thread_counts() {
-        // The tentpole invariant in miniature: eviction pressure, LRU
-        // (scan timer live), shootdowns — and the full report rendering
-        // must agree byte-for-byte at 1, 2, and 4 workers.
+    fn threads_two_returns_the_threads_one_report() {
+        // `threads` survives only as an API contract: every non-zero
+        // value runs the same loop. Eviction pressure, LRU (scan timer
+        // live) and shootdowns, compared over the full report rendering.
         let t = shared_and_private_trace(4, 4);
         let render = |threads: usize| {
             let vmm = Vmm::new(KernelConfig::new(4, 48).with_policy(PolicyKind::Lru));
             format!("{:?}", super::run(&vmm, &t, threads))
         };
-        let base = render(1);
-        assert_eq!(base, render(2), "threads=2 must match threads=1");
-        assert_eq!(base, render(4), "threads=4 must match threads=1");
-    }
-
-    #[test]
-    fn sharded_commit_rounds_fire_and_match_the_sequential_fold() {
-        // Ample memory so every fault is shardable (minors + fresh
-        // majors, no backing, no evictions): multi-thread runs must
-        // actually take the concurrent shard-commit path and still
-        // render byte-identically to the forced sequential fold.
-        let t = shared_and_private_trace(8, 4);
-        let mk = || Vmm::new(KernelConfig::new(8, 512).with_policy(PolicyKind::Cmcp { p: 0.5 }));
-        let vmm = mk();
-        let (sharded, host) = super::run_with_options(&vmm, &t, 4, EngineOptions::default());
-        assert!(
-            host.parallel_rounds > 0,
-            "8 cores faulting under ample memory must trigger parallel rounds"
-        );
-        assert!(sharded.scaling.shardable > 0);
-        let vmm = mk();
-        let (reference, ref_host) = super::run_with_options(
-            &vmm,
-            &t,
-            4,
-            EngineOptions {
-                force_sequential_commit: true,
-            },
-        );
-        assert_eq!(ref_host.parallel_rounds, 0, "reference must never shard");
-        assert_eq!(
-            format!("{sharded:?}"),
-            format!("{reference:?}"),
-            "sharded commit must equal the sequential fold byte-for-byte"
-        );
+        assert_eq!(render(1), render(2), "threads=2 must match threads=1");
     }
 
     #[test]
@@ -1124,49 +522,11 @@ mod tests {
     }
 
     #[test]
-    fn oversubscribed_thread_count_is_clamped() {
-        let t = private_sweep_trace(2, 16, 1);
-        let vmm = Vmm::new(KernelConfig::new(2, 64));
-        let r = super::run(&vmm, &t, 64);
-        assert_eq!(r.per_core.len(), 2);
-        assert_eq!(r.per_core[0].page_faults, 16);
-    }
-
-    #[test]
     #[should_panic(expected = "thread count")]
     fn zero_threads_is_rejected() {
         let t = private_sweep_trace(1, 1, 1);
         let vmm = Vmm::new(KernelConfig::new(1, 4));
         super::run(&vmm, &t, 0);
-    }
-
-    #[test]
-    fn resolve_threads_maps_zero_to_host_parallelism() {
-        assert_eq!(resolve_threads(3), 3);
-        assert!(resolve_threads(0) >= 1);
-    }
-
-    #[test]
-    fn panicking_worker_surfaces_the_panic() {
-        // Regression for the PR 2 wedge class: a dead worker must not
-        // leave the survivors spinning on a frozen horizon. The poisoned
-        // phase barrier bails everyone out and the original panic
-        // propagates through the scope join.
-        let t = private_sweep_trace(4, 64, 2);
-        let vmm = Vmm::new(KernelConfig::new(4, 256));
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_with_worker_hook(&vmm, &t, 4, &|id| {
-                if id == 2 {
-                    panic!("injected worker panic");
-                }
-            })
-        }));
-        let payload = result.expect_err("the worker panic must propagate, not wedge");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert!(
-            msg.contains("injected worker panic"),
-            "original payload must survive: {msg:?}"
-        );
     }
 
     #[test]
@@ -1203,16 +563,20 @@ mod tests {
         assert!(r.per_core[0].page_faults > 64);
         assert!(r.dma_bytes.1 > 0, "dirty sweeps write back");
         assert!(r.global.refaults > 0);
-        // Refaults DMA backing copies in: reconciliation class.
-        assert!(r.scaling.reconciled > 0, "{:?}", r.scaling);
+        // Every fault commits as one phase-B entry.
+        assert!(
+            r.scaling.reconciled >= r.per_core[0].page_faults,
+            "{:?}",
+            r.scaling
+        );
     }
 
     #[test]
-    fn parallel_run_handles_memory_pressure() {
+    fn shared_run_under_memory_pressure_executes_every_touch() {
         let t = shared_and_private_trace(4, 4);
         // Footprint: 16 shared + 4×32 private = 144 pages; constrain to 64.
         let vmm = Vmm::new(KernelConfig::new(4, 64).with_policy(PolicyKind::Cmcp { p: 0.5 }));
-        let r = super::run(&vmm, &t, 4);
+        let r = run_deterministic(&vmm, &t);
         assert!(r.global.evictions > 0);
         assert!(r.runtime_cycles > 0);
         // Every core executed all its touches.

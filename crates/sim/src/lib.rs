@@ -8,14 +8,11 @@
 //! * [`runner`] — one core's execution state: its TLB, its position in
 //!   the trace, dirty-block tracking, invalidation draining; advances
 //!   freely to an epoch ceiling and *parks* at kernel entries.
-//! * [`engine`] — the **unified sharded discrete-event engine**: cores
-//!   partitioned over host workers, advancing in epoch windows bounded
-//!   by the minimum cross-core interaction latency. Kernel effects
-//!   commit in virtual-time stamp order — shard-local entries
-//!   concurrently on all workers, cross-shard entries in a sequential
-//!   reconciliation pass. One code path for every thread count;
-//!   `(seed, config)` yields a byte-identical report whether run on 1
-//!   thread or 8.
+//! * [`engine`] — the **epoch engine**: one sequential loop that
+//!   advances every core to an epoch ceiling bounded by the minimum
+//!   cross-core interaction latency, then commits the parked kernel
+//!   entries in virtual-time stamp order. `(seed, config)` yields a
+//!   byte-identical report.
 //! * [`report`] — the merged run report: runtime, per-core Table-1
 //!   counters, DMA/lock occupancy, sharing histogram.
 
@@ -27,8 +24,6 @@ pub mod report;
 pub mod runner;
 pub mod trace;
 
-pub use engine::{
-    resolve_threads, run, run_deterministic, run_parallel, run_with_host_stats, HostScaling,
-};
+pub use engine::{run, run_deterministic};
 pub use report::{EngineScaling, NumaReport, RunReport, TierReport};
 pub use trace::{CoreTrace, Op, Trace};

@@ -52,14 +52,10 @@ pub struct NumaReport {
     pub migration_cycles: u64,
 }
 
-/// Deterministic engine-scaling counters: how phase B decomposed the
+/// Deterministic engine counters: how the epoch loop decomposed the
 /// run. Every field is a pure function of `(seed, config, tiers,
-/// fault-plan)` — classification runs at every thread count, including
-/// 1, so these are identical no matter how many workers executed the
-/// run (asserted by the byte-identity suite, since `RunReport` derives
-/// `Debug` over this struct). Host-dependent counters (barrier waits,
-/// rounds actually committed concurrently) live in the engine's
-/// `HostScaling` instead and never enter the report.
+/// fault-plan)`, and `RunReport` derives `Debug` over this struct, so
+/// the byte-identity suites cover it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineScaling {
     /// Epochs the engine ran (phase-B invocations).
@@ -67,17 +63,10 @@ pub struct EngineScaling {
     /// Epochs whose ceiling fast-forwarded past the base window
     /// (timer-free straggler phases merged into one epoch).
     pub fast_forwards: u64,
-    /// Kernel entries committed across all epochs (faults, syscalls,
-    /// scan ticks, rebuilds).
-    pub committed: u64,
-    /// Entries the classifier proved shard-local (eligible for the
-    /// concurrent commit round).
-    pub shardable: u64,
-    /// Entries in the sequential reconciliation class. Always
-    /// `committed - shardable`; a high share explains flat scaling.
+    /// Kernel entries committed in phase B across all epochs (faults,
+    /// syscalls, scan ticks, rebuilds).
     pub reconciled: u64,
-    /// Rendezvous-barrier releases (virtual-time barriers, not host
-    /// barriers).
+    /// Rendezvous-barrier releases (virtual-time barriers).
     pub releases: u64,
 }
 
@@ -114,7 +103,7 @@ pub struct RunReport {
     pub tiers: Option<TierReport>,
     /// NUMA topology roll-up; `None` for single-node runs.
     pub numa: Option<NumaReport>,
-    /// Deterministic phase-B decomposition counters (thread-invariant).
+    /// Deterministic engine counters (epochs, commits, releases).
     pub scaling: EngineScaling,
 }
 

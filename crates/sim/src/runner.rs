@@ -5,8 +5,7 @@
 //! until it either reaches the engine's epoch ceiling or *parks* at a
 //! kernel entry point: a failed page walk (the fault trap), a syscall,
 //! or a rendezvous barrier. The engine executes the parked kernel work
-//! sequentially in virtual-time stamp order and then resumes the core —
-//! so a single runner implementation serves every thread count, and all
+//! in virtual-time stamp order and then resumes the core, so all
 //! cross-core kernel effects happen at exact, reproducible stamps.
 
 use std::collections::HashSet;
@@ -233,8 +232,7 @@ impl CoreRunner {
     /// Ops are atomic: a touch or compute op that *crosses* the ceiling
     /// completes (the clock may overshoot); the check happens between
     /// ops and between the touches of a stream. With `ceiling ==
-    /// u64::MAX` this runs until the next park, which is exactly the
-    /// single-threaded degenerate case.
+    /// u64::MAX` this runs until the next park.
     pub fn advance<R: Recorder>(
         &mut self,
         vmm: &Vmm<R>,

@@ -452,7 +452,7 @@ mod tests {
             e(0, EventKind::FaultStart, 7, 0),
             e(0, EventKind::ReplicaSync, 3200, 1), // sync node 1
             e(0, EventKind::ReplicaSync, 3200, (1 << 8) | 2), // invalidate node 2
-            e(0, EventKind::Migration, 4200, 1), // home 0 → 1 ((from<<8)|to)
+            e(0, EventKind::Migration, 4200, 1),   // home 0 → 1 ((from<<8)|to)
             e(0, EventKind::FaultEnd, 0, 20_000),
         ];
         let b = Breakdown::from_events(&events, 1, 0);

@@ -258,8 +258,9 @@ impl Recorder for NullTracer {
 ///   payload is published through `claimed`, so no Release is needed.
 /// * Slot word stores/loads are `Relaxed` because readers
 ///   ([`EventRing::drain_into`], [`EventRing::dropped`]) run strictly
-///   post-quiesce: the engine joins its worker threads before draining,
-///   and the join edge is what makes every completed store visible.
+///   post-quiesce: callers drain after the run returns or after joining
+///   the writer threads, and that edge is what makes every completed
+///   store visible.
 ///   Mid-run the only concurrent readers are lapped *writers*, and the
 ///   tearing they can produce is detected (not prevented) via
 ///   [`EventKind::from_code`] returning `None` on a half-written meta

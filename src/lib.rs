@@ -32,7 +32,7 @@
 //! | page tables | [`pagetable`] | 4-level tables, 64 kB PTE format, regular vs PSPT |
 //! | policies | [`policies`] | CMCP, FIFO, two-list LRU, CLOCK, LFU, adaptive CMCP |
 //! | kernel | [`kernel`] | fault path, eviction, shootdowns, scan timer |
-//! | engine | [`sim`] | unified sharded engine, deterministic at any thread count |
+//! | engine | [`sim`] | sequential epoch engine, byte-identical reports per `(seed, config)` |
 //! | workloads | [`workloads`] | CG/LU/BT/SCALE trace generators + real numerics |
 //!
 //! See `DESIGN.md` for the paper-to-module mapping and `EXPERIMENTS.md`
@@ -59,6 +59,6 @@ pub use cmcp_arch::{
 };
 pub use cmcp_core::{CmcpConfig, CmcpPolicy, PolicyKind};
 pub use cmcp_kernel::{KernelConfig, SchemeChoice, TierCounters, Vmm};
-pub use cmcp_sim::{EngineScaling, HostScaling, NumaReport, RunReport, TierReport, Trace};
+pub use cmcp_sim::{EngineScaling, NumaReport, RunReport, TierReport, Trace};
 pub use cmcp_trace::{Breakdown, Event, EventKind, NullTracer, Recorder, RingTracer};
 pub use cmcp_workloads::{Workload, WorkloadClass};

@@ -18,9 +18,9 @@
 //! * **Frame conservation per node**: node budgets are never
 //!   overdrawn and the per-node used counts sum to the resident block
 //!   count — frames are charged to exactly one home each.
-//! * **Thread invariance**: multi-node reports are Debug-identical at
-//!   1/2/4/8 worker threads, replication on and off — the NUMA ledger
-//!   lives behind the sequential reconciliation tail (DESIGN.md §15).
+//! * **Repeat-run identity**: multi-node reports are Debug-identical
+//!   across two runs on fresh kernels (the second at `threads = 2`),
+//!   replication on and off.
 
 use cmcp::arch::VirtPage;
 use cmcp::kernel::{KernelConfig, SchemeChoice, Vmm};
@@ -82,7 +82,7 @@ fn pressured(topology: &str, replicate: bool, rebuild_period: u64) -> (Trace, Vm
 fn replica_sets_are_subsets_of_pspt_mapping_node_sets() {
     for rebuild_period in [0, 200_000] {
         let (trace, vmm) = pressured("4node", true, rebuild_period);
-        cmcp::sim::run_parallel(&vmm, &trace, 1);
+        cmcp::sim::run_deterministic(&vmm, &trace);
         let mut resident = 0usize;
         for head in touched_pages(&trace) {
             if let Some(st) = vmm.numa_block_state(head) {
@@ -105,7 +105,7 @@ fn replica_sets_are_subsets_of_pspt_mapping_node_sets() {
 fn every_replica_drop_is_counted_exactly_once() {
     use std::sync::atomic::Ordering::Relaxed;
     let (trace, vmm) = pressured("4node", true, 0);
-    cmcp::sim::run_parallel(&vmm, &trace, 1);
+    cmcp::sim::run_deterministic(&vmm, &trace);
     let books = vmm.numa_books().expect("multi-node run has books");
     let g = vmm.global_stats();
     let evictions = g.evictions.load(Relaxed);
@@ -138,7 +138,7 @@ fn every_replica_drop_is_counted_exactly_once() {
 fn node_budgets_are_never_overdrawn_and_sum_to_residency() {
     for replicate in [true, false] {
         let (trace, vmm) = pressured("4node", replicate, 0);
-        cmcp::sim::run_parallel(&vmm, &trace, 1);
+        cmcp::sim::run_deterministic(&vmm, &trace);
         let books = vmm.numa_books().expect("multi-node run has books");
         let used = books.used();
         for (n, (&u, &cap)) in used.iter().zip(books.capacity()).enumerate() {
@@ -161,7 +161,7 @@ fn balanced_private_streams_neither_spill_nor_invalidate() {
     let trace = synthetic::private_stream(8, 16, 3);
     let blocks = trace.declared_blocks(PageSize::K4);
     let vmm = numa_vmm(&trace, "2node", true, blocks, 0);
-    cmcp::sim::run_parallel(&vmm, &trace, 1);
+    cmcp::sim::run_deterministic(&vmm, &trace);
     let g = vmm.global_stats();
     assert_eq!(g.evictions.load(Relaxed), 0);
     assert_eq!(g.remote_spills.load(Relaxed), 0);
@@ -183,21 +183,21 @@ fn balanced_private_streams_neither_spill_nor_invalidate() {
 
 #[test]
 fn multi_node_reports_are_thread_count_invariant() {
+    // Each topology runs twice on fresh kernels, the second time with
+    // `threads = 2` (an argument the engine keeps only for its API
+    // contract): the reports must be byte-identical.
     for replicate in [true, false] {
         let run = |threads: usize| {
             let trace = synthetic::shared_hot(8, 48, 24, 4);
             let blocks = (trace.declared_blocks(PageSize::K4) * 3) / 5;
             let vmm = numa_vmm(&trace, "4node", replicate, blocks, 0);
-            format!("{:?}", cmcp::sim::run_parallel(&vmm, &trace, threads))
+            format!("{:?}", cmcp::sim::run(&vmm, &trace, threads))
         };
-        let base = run(1);
-        for threads in [2, 4, 8] {
-            assert_eq!(
-                base,
-                run(threads),
-                "multi-node report diverged at {threads} threads (replicate={replicate})"
-            );
-        }
+        assert_eq!(
+            run(1),
+            run(2),
+            "multi-node report diverged on a repeat run (replicate={replicate})"
+        );
     }
 }
 
@@ -206,7 +206,7 @@ fn single_node_runs_never_construct_the_ledger() {
     let trace = synthetic::shared_hot(4, 16, 8, 2);
     let blocks = trace.declared_blocks(PageSize::K4) / 2;
     let vmm = numa_vmm(&trace, "1node", true, blocks, 0);
-    let report = cmcp::sim::run_parallel(&vmm, &trace, 1);
+    let report = cmcp::sim::run_deterministic(&vmm, &trace);
     assert!(
         vmm.numa_books().is_none(),
         "single-node runs take the legacy path"
@@ -220,7 +220,7 @@ fn single_node_runs_never_construct_the_ledger() {
 #[test]
 fn replication_off_still_tracks_homes_but_grows_no_masks() {
     let (trace, vmm) = pressured("4node", false, 0);
-    cmcp::sim::run_parallel(&vmm, &trace, 1);
+    cmcp::sim::run_deterministic(&vmm, &trace);
     let mut saw_block = false;
     for head in touched_pages(&trace) {
         if let Some(st) = vmm.numa_block_state(head) {

@@ -1,27 +1,18 @@
-//! Cross-thread-count determinism: the unified engine must produce a
-//! BYTE-IDENTICAL report for every worker-thread count, not merely
-//! statistically close aggregates. These tests replace the old
-//! engine-equivalence suite (which only compared the two engines on
-//! no-pressure traces within tolerances) with exact equality under
-//! eviction pressure and an active fault plan — the regimes where an
-//! ordering bug would actually show.
+//! Repeat-run determinism matrix: every case runs twice on fresh
+//! kernels and the two reports must be byte-identical, not merely
+//! statistically close. The engine is one sequential loop; the second
+//! run passes `threads = 2` to `cmcp::sim::run`, an argument kept only
+//! for its API contract, which must not move a byte either. The cases
+//! are the regimes where hidden state (RNG, time, allocation order) or
+//! an ordering bug would show: eviction pressure and an active fault
+//! plan under every policy, a real workload, regular tables, tiered and
+//! adaptive runs, and an eviction storm.
 
-use proptest::prelude::*;
-
-use cmcp::arch::VirtPage;
-use cmcp::kernel::KernelConfig;
-use cmcp::sim::engine::{run_with_options, EngineOptions};
-use cmcp::sim::Op;
 use cmcp::workloads::scale::{scale_trace, ScaleConfig};
 use cmcp::workloads::synthetic;
 use cmcp::{
-    FaultPlan, PageSize, PolicyKind, RunReport, SchemeChoice, SimulationBuilder, TierConfig, Trace,
-    Vmm,
+    FaultPlan, KernelConfig, PageSize, PolicyKind, RunReport, SchemeChoice, TierConfig, Trace, Vmm,
 };
-
-/// The thread counts the acceptance matrix pins. 8 oversubscribes the
-/// core counts used below on purpose: clamping must not change bytes.
-const THREAD_MATRIX: [usize; 4] = [1, 2, 4, 8];
 
 /// Every replacement policy the engine supports.
 const ALL_POLICIES: [PolicyKind; 7] = [
@@ -33,6 +24,22 @@ const ALL_POLICIES: [PolicyKind; 7] = [
     PolicyKind::Cmcp { p: 0.5 },
     PolicyKind::AdaptiveCmcp,
 ];
+
+/// The seeded fault plan the matrix pins: 1% DMA errors plus occasional
+/// ENOSPC on the backing store.
+fn fault_plan() -> FaultPlan {
+    FaultPlan::new(7).dma_errors(0.01).enospc(0.005)
+}
+
+/// The matrix's two pressure traces: a small shared hot set, and a
+/// heavy 16-core one with constant eviction traffic across every
+/// residency stripe.
+fn pressure_traces() -> [Trace; 2] {
+    [
+        synthetic::shared_hot(6, 32, 64, 4),
+        synthetic::shared_hot(16, 48, 64, 6),
+    ]
+}
 
 fn scale() -> Trace {
     scale_trace(
@@ -46,6 +53,19 @@ fn scale() -> Trace {
     )
 }
 
+/// The kernel configuration `SimulationBuilder` builds for `trace` with
+/// device RAM at `ratio` of its declared footprint (PSPT + FIFO).
+fn config(trace: &Trace, ratio: f64, adaptive: bool) -> KernelConfig {
+    let size = if adaptive { PageSize::M2 } else { PageSize::K4 };
+    let blocks = ((trace.declared_blocks(size) as f64 * ratio).ceil() as usize).max(1);
+    let cfg = KernelConfig::new(trace.cores.len(), blocks);
+    if adaptive {
+        cfg.with_adaptive()
+    } else {
+        cfg
+    }
+}
+
 /// Byte-exact fingerprint of everything a run reports. `RunReport`
 /// derives `Debug` over all of its fields, so two reports with equal
 /// fingerprints are equal field-for-field.
@@ -53,77 +73,81 @@ fn fingerprint(r: &RunReport) -> String {
     format!("{r:?}")
 }
 
+/// Runs `cfg` on two fresh kernels, at `threads = 1` and then
+/// `threads = 2`, requires byte-identical reports and returns the first.
+fn run_twice(cfg: &KernelConfig, trace: &Trace, what: &str) -> RunReport {
+    let run = |threads| cmcp::sim::run(&Vmm::new(cfg.clone()), trace, threads);
+    let first = run(1);
+    assert_eq!(
+        fingerprint(&first),
+        fingerprint(&run(2)),
+        "{what}: the second run diverged from the first"
+    );
+    first
+}
+
+/// Every touch executed, and faults never outnumber TLB misses.
+fn assert_touches_conserved(r: &RunReport, trace: &Trace, what: &str) {
+    let executed: u64 = r.per_core.iter().map(|c| c.dtlb_accesses).sum();
+    assert_eq!(executed, trace.total_touches(), "{what}: lost touches");
+    let faults: u64 = r.per_core.iter().map(|c| c.page_faults).sum();
+    let misses: u64 = r.per_core.iter().map(|c| c.dtlb_misses).sum();
+    assert!(
+        faults <= misses,
+        "{what}: {faults} faults > {misses} misses"
+    );
+}
+
 #[test]
 fn all_policies_are_byte_identical_across_thread_counts_under_pressure() {
-    // The acceptance matrix: every policy, eviction pressure (half the
-    // footprint), shared hot set so cross-core shootdowns and scan
-    // ticks interleave with faults. threads=1 is the reference.
-    let t = synthetic::shared_hot(6, 32, 64, 4);
-    for policy in ALL_POLICIES {
-        let run = |threads| {
-            SimulationBuilder::trace(t.clone())
-                .policy(policy)
-                .memory_ratio(0.5)
-                .threads(threads)
-                .run()
-        };
-        let reference = run(1);
-        assert!(
-            reference.global.evictions > 0,
-            "{}: ratio 0.5 must force evictions",
-            policy.label()
-        );
-        let touches: u64 = reference.per_core.iter().map(|c| c.dtlb_accesses).sum();
-        assert_eq!(
-            touches,
-            t.total_touches(),
-            "{}: every touch executed",
-            policy.label()
-        );
-        let want = fingerprint(&reference);
-        for threads in THREAD_MATRIX {
-            let got = fingerprint(&run(threads));
-            assert_eq!(
-                got,
-                want,
-                "{}: threads={threads} diverged from threads=1",
-                policy.label()
-            );
+    // Every policy under eviction pressure (half the footprint), with a
+    // shared hot set so cross-core shootdowns and scan ticks interleave
+    // with faults.
+    for t in pressure_traces() {
+        for policy in ALL_POLICIES {
+            let what = format!("{} on {} cores", policy.label(), t.cores.len());
+            let r = run_twice(&config(&t, 0.5, false).with_policy(policy), &t, &what);
+            assert!(r.global.evictions > 0, "{what}: ratio 0.5 must evict");
+            assert_touches_conserved(&r, &t, &what);
         }
     }
 }
 
 #[test]
 fn all_policies_are_byte_identical_across_thread_counts_under_faults() {
-    // Same matrix with the seeded fault layer armed: 1% DMA errors plus
-    // occasional ENOSPC. Fault retries re-enter the page-fault path at
-    // later stamps, so this leg would catch any stamp-ordering drift in
-    // the retry/quarantine machinery.
-    let t = synthetic::shared_hot(6, 32, 64, 4);
-    for policy in ALL_POLICIES {
-        let run = |threads| {
-            SimulationBuilder::trace(t.clone())
-                .policy(policy)
-                .memory_ratio(0.5)
-                .fault_plan(FaultPlan::new(7).dma_errors(0.01).enospc(0.005))
-                .threads(threads)
-                .run()
-        };
-        let reference = run(1);
-        assert!(
-            reference.global.dma_errors > 0,
-            "{}: 1% over thousands of transfers must fire",
-            policy.label()
-        );
-        let want = fingerprint(&reference);
-        for threads in THREAD_MATRIX {
-            let got = fingerprint(&run(threads));
-            assert_eq!(
-                got,
-                want,
-                "{}: faulted threads={threads} diverged from threads=1",
-                policy.label()
+    // Same matrix with the seeded fault layer armed. Fault retries
+    // re-enter the page-fault path at later stamps, so this leg would
+    // catch any stamp-ordering drift in the retry/quarantine machinery;
+    // it also checks that recovery loses no touch and keeps its books.
+    for t in pressure_traces() {
+        for policy in ALL_POLICIES {
+            let what = format!("{} on {} cores, faulted", policy.label(), t.cores.len());
+            let cfg = config(&t, 0.5, false)
+                .with_policy(policy)
+                .with_fault_plan(fault_plan());
+            let r = run_twice(&cfg, &t, &what);
+            assert!(
+                r.global.dma_errors > 0,
+                "{what}: 1% over thousands of transfers must fire"
             );
+            assert_touches_conserved(&r, &t, &what);
+            // Every DMA error and every ENOSPC charges exactly one backoff.
+            let retries: u64 = r.per_core.iter().map(|c| c.fault_retries).sum();
+            assert_eq!(
+                retries,
+                r.global.dma_errors + r.global.enospc_events,
+                "{what}"
+            );
+            // Quarantined frames stay out of circulation, and the
+            // per-core quarantine tally matches the global gauge.
+            let quarantines: u64 = r.per_core.iter().map(|c| c.quarantines).sum();
+            assert_eq!(quarantines, r.global.quarantined_frames, "{what}");
+            if t.cores.len() == 16 && policy == (PolicyKind::Cmcp { p: 0.5 }) {
+                assert!(
+                    r.global.sync_writebacks > 0,
+                    "{what}: retried write-backs must degrade to synchronous mode"
+                );
+            }
         }
     }
 }
@@ -132,316 +156,111 @@ fn all_policies_are_byte_identical_across_thread_counts_under_faults() {
 fn scale_workload_is_byte_identical_across_thread_counts() {
     // A real workload trace (SCALE stencil) rather than a synthetic one:
     // barriers every step, constrained memory, CMCP policy.
-    let run = |threads| {
-        SimulationBuilder::trace(scale())
-            .policy(PolicyKind::Cmcp { p: 0.75 })
-            .memory_ratio(0.5)
-            .threads(threads)
-            .run()
-    };
-    let want = fingerprint(&run(1));
-    for threads in THREAD_MATRIX {
-        assert_eq!(
-            fingerprint(&run(threads)),
-            want,
-            "threads={threads} diverged on SCALE"
-        );
-    }
+    let t = scale();
+    let cfg = config(&t, 0.5, false).with_policy(PolicyKind::Cmcp { p: 0.75 });
+    run_twice(&cfg, &t, "SCALE");
 }
 
 #[test]
 fn regular_tables_are_byte_identical_across_thread_counts() {
-    let t = synthetic::private_stream(4, 32, 3);
-    let run = |threads| {
-        SimulationBuilder::trace(t.clone())
-            .scheme(SchemeChoice::Regular)
-            .memory_ratio(0.5)
-            .threads(threads)
-            .run()
-    };
-    let reference = run(1);
-    assert!(reference.global.evictions > 0);
-    assert!(
-        reference.sharing_histogram.is_none(),
-        "regular tables have no histogram"
-    );
-    let want = fingerprint(&reference);
-    for threads in THREAD_MATRIX {
-        assert_eq!(fingerprint(&run(threads)), want);
-    }
-}
-
-/// Random traces mixing private streams, shared pages, compute gaps,
-/// syscalls, and barriers — with a constrained ratio so evictions and
-/// shootdowns actually interleave.
-fn pressure_trace_strategy() -> impl Strategy<Value = Trace> {
-    (
-        2usize..6,
-        prop::collection::vec((0u64..96, 1u32..12, any::<bool>()), 1..6),
-    )
-        .prop_map(|(cores, chunks)| {
-            let mut t = Trace::new(cores, "det-prop");
-            for c in 0..cores {
-                for (i, &(start, pages, write)) in chunks.iter().enumerate() {
-                    let s = start + (c as u64 * 17 + i as u64 * 5) % 64;
-                    t.cores[c].ops.push(Op::Stream {
-                        start: VirtPage(s),
-                        pages,
-                        write,
-                        work_per_page: 2,
-                    });
-                    if i % 2 == 0 {
-                        t.cores[c].ops.push(Op::Compute(500));
-                    }
-                }
-                t.cores[c].ops.push(Op::Barrier);
-            }
-            t
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// For any trace and any policy, every thread count yields the
-    /// byte-identical report — the tentpole invariant, property-tested.
-    #[test]
-    fn any_trace_any_policy_is_thread_count_invariant(
-        trace in pressure_trace_strategy(),
-        policy in prop_oneof![
-            Just(PolicyKind::Fifo),
-            Just(PolicyKind::Lru),
-            Just(PolicyKind::Clock),
-            Just(PolicyKind::Lfu),
-            Just(PolicyKind::Random),
-            Just(PolicyKind::Cmcp { p: 0.5 }),
-            Just(PolicyKind::AdaptiveCmcp),
-        ],
-    ) {
-        let run = |threads| {
-            SimulationBuilder::trace(trace.clone())
-                .policy(policy)
-                .memory_ratio(0.5)
-                .threads(threads)
-                .run()
-        };
-        let reference = run(1);
-        // Conservation sanity before equality: every touch executed,
-        // faults bounded by misses.
-        let touches: u64 = reference.per_core.iter().map(|c| c.dtlb_accesses).sum();
-        prop_assert_eq!(touches, trace.total_touches());
-        let faults: u64 = reference.per_core.iter().map(|c| c.page_faults).sum();
-        let misses: u64 = reference.per_core.iter().map(|c| c.dtlb_misses).sum();
-        prop_assert!(faults <= misses);
-        let want = fingerprint(&reference);
-        for threads in [2usize, 4, 8] {
-            prop_assert_eq!(&fingerprint(&run(threads)), &want, "threads={}", threads);
-        }
+    for t in [
+        synthetic::private_stream(4, 32, 3),
+        synthetic::private_stream(8, 64, 4),
+    ] {
+        let what = format!("regular tables on {} cores", t.cores.len());
+        let cfg = config(&t, 0.5, false).with_scheme(SchemeChoice::Regular);
+        let r = run_twice(&cfg, &t, &what);
+        assert!(r.global.evictions > 0, "{what}: ratio 0.5 must evict");
+        assert!(r.runtime_cycles > 0, "{what}");
+        assert!(
+            r.sharing_histogram.is_none(),
+            "{what}: regular tables have no histogram"
+        );
     }
 }
 
 #[test]
 fn tiered_and_adaptive_runs_are_byte_identical_across_thread_counts() {
-    // The multi-tier leg of the acceptance matrix: the epoch-barrier
-    // determinism guarantee must survive the tier subsystem (Mutex-
-    // guarded span store, demotion cascades, promotions) and the
-    // adaptive page-size machinery (buddy allocator, split-on-evict,
-    // pressure controller), with the fault plan armed on the tightest
-    // config. A 24-page fast tier under the pressure trace guarantees
-    // capacity cascades; the reports must still be byte-equal at every
-    // thread count.
+    // The multi-tier legs: the tier subsystem (Mutex-guarded span store,
+    // demotion cascades, promotions) and the adaptive page-size machinery
+    // (buddy allocator, split-on-evict, pressure controller), with the
+    // fault plan armed on the tightest config. A 24-page fast tier under
+    // the pressure trace guarantees capacity cascades.
     let t = synthetic::shared_hot(6, 32, 64, 4);
     let tight = "fast:24@50/0;mid:64@500/2000;cold:0@5000/500";
     let legs: [(&str, &str, bool, Option<FaultPlan>); 4] = [
         ("2tier", "2tier", false, None),
         ("4tier", "4tier", false, None),
-        (
-            "tight+faults",
-            tight,
-            false,
-            Some(FaultPlan::new(7).dma_errors(0.01).enospc(0.005)),
-        ),
+        ("tight+faults", tight, false, Some(fault_plan())),
         ("tight+adaptive", tight, true, None),
     ];
     for (label, spec, adaptive, plan) in legs {
-        let tiers = TierConfig::parse(spec).unwrap();
-        let run = |threads| {
-            let mut b = SimulationBuilder::trace(t.clone())
-                .policy(PolicyKind::Cmcp { p: 0.5 })
-                .tiers(tiers.clone())
-                .memory_ratio(0.5)
-                .threads(threads);
-            if adaptive {
-                b = b.adaptive_page_size();
-            }
-            if let Some(plan) = plan.clone() {
-                b = b.fault_plan(plan);
-            }
-            b.run()
-        };
-        let reference = run(1);
-        assert!(
-            reference.global.evictions > 0,
-            "{label}: tier pressure must evict"
-        );
+        let mut cfg = config(&t, 0.5, adaptive)
+            .with_policy(PolicyKind::Cmcp { p: 0.5 })
+            .with_tiers(TierConfig::parse(spec).unwrap());
+        cfg.fault_plan = plan;
+        let r = run_twice(&cfg, &t, label);
+        assert!(r.global.evictions > 0, "{label}: tier pressure must evict");
         if spec == tight {
             assert!(
-                reference.global.tier_demotions + reference.global.tier_promotions > 0,
+                r.global.tier_demotions + r.global.tier_promotions > 0,
                 "{label}: the 24-page fast tier must cascade spans"
             );
         }
-        let want = fingerprint(&reference);
-        for threads in THREAD_MATRIX {
-            assert_eq!(
-                fingerprint(&run(threads)),
-                want,
-                "{label}: threads={threads} diverged from threads=1"
-            );
-        }
     }
-}
-
-/// The same memory sizing `SimulationBuilder` applies, so the reference
-/// runs below face the identical kernel the builder-driven runs do.
-fn kernel_config(
-    trace: &Trace,
-    policy: PolicyKind,
-    ratio: f64,
-    tiers: Option<&str>,
-    plan: Option<FaultPlan>,
-) -> KernelConfig {
-    let footprint = trace.declared_blocks(PageSize::K4);
-    let blocks = ((footprint as f64 * ratio).ceil() as usize).max(1);
-    let mut cfg = KernelConfig::new(trace.cores.len(), blocks).with_policy(policy);
-    if let Some(spec) = tiers {
-        cfg.cost.tiers = TierConfig::parse(spec).unwrap();
-    }
-    cfg.fault_plan = plan;
-    cfg
-}
-
-/// Fingerprint of a run forced down the pure sequential stamp-ordered
-/// fold (no concurrent shard rounds) — the reference the sharded commit
-/// path is asserted byte-equal to.
-fn sequential_reference(cfg: KernelConfig, trace: &Trace) -> String {
-    let vmm = Vmm::new(cfg);
-    let (report, host) = run_with_options(
-        &vmm,
-        trace,
-        4,
-        EngineOptions {
-            force_sequential_commit: true,
-        },
-    );
-    assert_eq!(host.parallel_rounds, 0, "reference must never shard");
-    fingerprint(&report)
-}
-
-/// Fingerprint of the normal engine (sharded prefix + reconciliation
-/// tail) at `threads` workers.
-fn sharded_run(cfg: KernelConfig, trace: &Trace, threads: usize) -> String {
-    let vmm = Vmm::new(cfg);
-    let (report, _) = run_with_options(&vmm, trace, threads, EngineOptions::default());
-    fingerprint(&report)
 }
 
 #[test]
 fn eviction_storm_is_byte_identical_and_reconciliation_heavy() {
-    // The reconciliation-heavy leg: a hot set plus private streams
-    // squeezed to 30% of the footprint, so the frame pool runs dry in
-    // the first epochs and nearly every subsequent fault either evicts
-    // or re-loads from backing — both reconciliation class. This is the
-    // adversarial regime for the sharded commit: the classifier must
-    // send almost everything down the sequential tail and the bytes
-    // must not move at any thread count.
+    // A hot set plus private streams squeezed to 30% of the footprint:
+    // the frame pool runs dry in the first epochs, and from then on most
+    // faults evict, so nearly every phase-B commit crosses cores.
     let t = synthetic::shared_hot(8, 48, 64, 4);
-    let run = |threads| {
-        SimulationBuilder::trace(t.clone())
-            .policy(PolicyKind::Cmcp { p: 0.5 })
-            .memory_ratio(0.3)
-            .threads(threads)
-            .run()
-    };
-    let reference = run(1);
+    let cfg = config(&t, 0.3, false).with_policy(PolicyKind::Cmcp { p: 0.5 });
+    let r = run_twice(&cfg, &t, "eviction storm");
+    let faults: u64 = r.per_core.iter().map(|c| c.page_faults).sum();
     assert!(
-        reference.global.evictions > reference.scaling.shardable,
-        "storm leg must be eviction-dominated: {:?}",
-        reference.scaling
+        2 * r.global.evictions > faults,
+        "storm leg must be eviction-dominated: {} evictions, {faults} faults",
+        r.global.evictions
     );
+    // Every fault commits as one phase-B entry.
     assert!(
-        reference.scaling.reconciled > reference.scaling.shardable,
-        "reconciliation must dominate under a storm: {:?}",
-        reference.scaling
+        r.scaling.reconciled >= faults,
+        "every fault must commit in phase B: {:?}",
+        r.scaling
     );
-    let want = fingerprint(&reference);
-    for threads in THREAD_MATRIX {
-        assert_eq!(
-            fingerprint(&run(threads)),
-            want,
-            "storm leg: threads={threads} diverged from threads=1"
-        );
-    }
-    // And the engine's sharded path must equal the forced sequential
-    // fold on the same kernel.
-    let cfg = || kernel_config(&t, PolicyKind::Cmcp { p: 0.5 }, 0.3, None, None);
-    assert_eq!(sharded_run(cfg(), &t, 4), sequential_reference(cfg(), &t));
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// For any trace and any policy, the sharded commit path (concurrent
-    /// prefix + reconciliation tail) produces the byte-identical report
-    /// to a forced sequential stamp-ordered fold — on the flat store, on
-    /// a tiered hierarchy, and with the fault-injection layer armed.
-    #[test]
-    fn sharded_commit_equals_sequential_fold(
-        trace in pressure_trace_strategy(),
-        policy in prop_oneof![
-            Just(PolicyKind::Fifo),
-            Just(PolicyKind::Lru),
-            Just(PolicyKind::Clock),
-            Just(PolicyKind::Lfu),
-            Just(PolicyKind::Random),
-            Just(PolicyKind::Cmcp { p: 0.5 }),
-            Just(PolicyKind::AdaptiveCmcp),
-        ],
-    ) {
-        let legs: [(&str, Option<&str>, Option<FaultPlan>); 3] = [
-            ("flat", None, None),
-            ("tiered", Some("2tier"), None),
-            ("faulted", None, Some(FaultPlan::new(7).dma_errors(0.01).enospc(0.005))),
-        ];
-        for (label, tiers, plan) in legs {
-            let cfg = || kernel_config(&trace, policy, 0.5, tiers, plan.clone());
-            prop_assert_eq!(
-                &sharded_run(cfg(), &trace, 4),
-                &sequential_reference(cfg(), &trace),
-                "{} leg: sharded commit diverged from the sequential fold ({})",
-                label,
-                policy.label()
-            );
-        }
-    }
 }
 
 #[test]
 fn repeat_runs_at_the_same_thread_count_are_byte_identical() {
-    // Determinism in the other axis: same thread count, fresh Vmm each
-    // time. Catches hidden global state (RNG, time, allocation order).
-    let t = synthetic::shared_hot(6, 32, 64, 4);
-    for threads in [1usize, 4] {
-        let run = || {
-            SimulationBuilder::trace(t.clone())
-                .policy(PolicyKind::AdaptiveCmcp)
-                .memory_ratio(0.5)
-                .threads(threads)
-                .run()
-        };
+    // Same `threads` value, fresh kernel each time: catches hidden global
+    // state. The ample-memory leg must also neither evict nor leak frames
+    // across runs.
+    let legs = [
+        (
+            synthetic::shared_hot(6, 32, 64, 4),
+            PolicyKind::AdaptiveCmcp,
+            0.5,
+        ),
+        (
+            synthetic::shared_hot(12, 32, 48, 4),
+            PolicyKind::Cmcp { p: 0.75 },
+            1.25,
+        ),
+    ];
+    for (t, policy, ratio) in legs {
+        let cfg = config(&t, ratio, false).with_policy(policy);
+        let run = || cmcp::sim::run(&Vmm::new(cfg.clone()), &t, 1);
+        let first = run();
         assert_eq!(
+            fingerprint(&first),
             fingerprint(&run()),
-            fingerprint(&run()),
-            "threads={threads}: repeat run diverged"
+            "{}: repeat run diverged",
+            policy.label()
         );
+        if ratio > 1.0 {
+            assert_eq!(first.global.evictions, 0, "ample memory never evicts");
+        }
     }
 }

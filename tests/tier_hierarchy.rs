@@ -22,7 +22,6 @@
 //! injection layer keys its sequences per tier, and a lost or doubly
 //! applied recovery would break the books or the conservation equality.
 
-use cmcp::sim::run_parallel;
 use cmcp::workloads::synthetic;
 use cmcp::{
     CostModel, FaultPlan, KernelConfig, PageSize, PolicyKind, RunReport, SchemeChoice, TierConfig,
@@ -87,11 +86,11 @@ fn kernel_config(
 
 /// Runs the config and applies the full shadow-oracle audit battery
 /// before returning the report.
-fn run_audited(cfg: KernelConfig, trace: &Trace, threads: usize) -> RunReport {
+fn run_audited(cfg: KernelConfig, trace: &Trace) -> RunReport {
     let tiered = !cfg.tiers().is_flat() || cfg.adaptive;
     let faulted = cfg.fault_plan.is_some();
     let vmm = Vmm::new(cfg);
-    let report = run_parallel(&vmm, trace, threads);
+    let report = cmcp::sim::run_deterministic(&vmm, trace);
 
     // Layer 2: span/book audit (panics on overlap, drift, or a bounded
     // tier over capacity) and device-frame conservation.
@@ -160,7 +159,6 @@ fn zero_cost_tiers_are_invisible_next_to_the_flat_reference() {
         let flat = run_audited(
             kernel_config(&t, policy, TierConfig::flat(), false, None, 0.5),
             &t,
-            1,
         );
         assert!(
             flat.global.evictions > 0 && flat.global.writebacks > 0,
@@ -170,7 +168,6 @@ fn zero_cost_tiers_are_invisible_next_to_the_flat_reference() {
         let tiered = run_audited(
             kernel_config(&t, policy, zero_cost_tiers(), false, None, 0.5),
             &t,
-            1,
         );
         assert_eq!(
             format!("{:?}", tiered.per_core),
@@ -216,7 +213,6 @@ fn tiered_books_balance_for_all_policies_with_and_without_faults() {
             let r = run_audited(
                 kernel_config(&t, policy, tight_tiers(), false, plan, 0.5),
                 &t,
-                4,
             );
             assert!(
                 r.global.evictions > 0,
@@ -252,7 +248,6 @@ fn tier_penalties_surface_in_the_report_and_only_for_costly_tiers() {
             0.5,
         ),
         &t,
-        1,
     );
     let penalty: u64 = costly.per_core.iter().map(|c| c.tier_penalty_cycles).sum();
     assert!(penalty > 0, "costly tiers must charge penalty cycles");
@@ -273,7 +268,6 @@ fn tier_penalties_surface_in_the_report_and_only_for_costly_tiers() {
             0.5,
         ),
         &t,
-        1,
     );
     assert_eq!(
         flat.per_core
@@ -300,7 +294,6 @@ fn map_count_ranking_sends_cold_spans_deeper() {
     let r = run_audited(
         kernel_config(&t, PolicyKind::Cmcp { p: 0.5 }, roomy, false, None, 0.5),
         &t,
-        1,
     );
     let tiers = r.tiers.as_ref().expect("tiered report");
     assert!(r.global.writebacks > 0, "pressure must write back");
@@ -335,7 +328,6 @@ fn adaptive_page_sizes_hold_the_same_books_under_tier_pressure() {
                     0.4,
                 ),
                 &t,
-                4,
             );
             assert!(
                 r.global.evictions > 0,
@@ -362,7 +354,6 @@ fn adaptive_splits_fire_under_pressure_and_books_still_balance() {
             0.35,
         ),
         &t,
-        2,
     );
     assert!(
         r.global.block_splits > 0,
@@ -373,10 +364,10 @@ fn adaptive_splits_fire_under_pressure_and_books_still_balance() {
 
 #[test]
 fn tiered_and_adaptive_runs_are_reproducible() {
-    // Same config, fresh kernel: byte-identical reports. The
-    // determinism matrix across thread counts lives in
-    // `thread_determinism.rs`; this pins run-to-run stability of the
-    // tier and adaptive state machines themselves.
+    // Same config, fresh kernel: byte-identical reports. The repeat-run
+    // determinism matrix lives in `thread_determinism.rs`; this pins
+    // run-to-run stability of the tier and adaptive state machines
+    // themselves.
     let t = pressure_trace();
     for adaptive in [false, true] {
         let run = || {
@@ -390,7 +381,6 @@ fn tiered_and_adaptive_runs_are_reproducible() {
                     0.5,
                 ),
                 &t,
-                4,
             )
         };
         assert_eq!(
