@@ -1,7 +1,7 @@
 # Convenience targets mirroring .github/workflows/ci.yml.
 # Everything runs offline: external crates are in-repo shims (shims/README.md).
 
-.PHONY: verify fmt lint test test-serial test-faults test-loom test-miri test-tsan determinism test-tiers test-numa bench-smoke bench-tiers-save bench-numa-save goldens goldens-check goldens-save ci
+.PHONY: verify fmt lint test test-serial test-faults determinism test-tiers test-numa bench-smoke bench-tiers-save bench-numa-save goldens goldens-check goldens-save ci
 
 # The canonical acceptance gate: release build + full test suite.
 verify:
@@ -26,36 +26,6 @@ test-faults:
 	cargo test -q --test fault_injection
 	cargo test -q --test trace_validation
 	cargo test -q --release --test thread_determinism under_faults
-
-# Bounded model checking of the lock-free core (frame pool, trace ring):
-# swaps std atomics for the loom shim's model-checked ones and explores
-# every thread interleaving + release/acquire read choice up to the
-# preemption bound. LOOM_MAX_PREEMPTIONS=3 make test-loom to dig deeper.
-test-loom:
-	RUSTFLAGS="--cfg loom" cargo test -p cmcp-kernel -p cmcp-trace --lib loom_
-
-# Miri over the audited lock-free modules (UB + ordering detector with a
-# randomized scheduler). Skips with a notice when the toolchain has no
-# miri component (it is nightly-only on some channels).
-test-miri:
-	@if cargo miri --version >/dev/null 2>&1; then \
-		cargo miri test -p cmcp-kernel -p cmcp-trace --lib; \
-	else \
-		echo "miri component not installed (rustup component add miri); skipping"; \
-	fi
-
-# ThreadSanitizer leg. Needs nightly AND rust-src: std must be rebuilt
-# instrumented (-Zbuild-std) or TSan reports false races inside
-# uninstrumented Arc/thread internals. Skips with a notice otherwise.
-test-tsan:
-	@if cargo +nightly --version >/dev/null 2>&1 && \
-	    rustup component list --toolchain nightly --installed 2>/dev/null | grep -q rust-src; then \
-		RUSTFLAGS="-Z sanitizer=thread" \
-		cargo +nightly test -Z build-std -p cmcp-kernel -p cmcp-trace --lib \
-			--target x86_64-unknown-linux-gnu; \
-	else \
-		echo "nightly + rust-src not installed (TSan needs an instrumented std via -Zbuild-std); skipping"; \
-	fi
 
 # The repeat-run determinism matrix on its own: every policy under
 # eviction pressure and a fault plan, SCALE, regular tables, tiers and
@@ -126,5 +96,5 @@ goldens-save:
 		--fault-plan "seed=42,dma=0.01,enospc=0.005" --json \
 		> results/golden_faulted_cg.json
 
-ci: fmt lint verify test test-serial test-faults test-loom determinism test-tiers \
+ci: fmt lint verify test test-serial test-faults determinism test-tiers \
     test-numa bench-smoke bench-hotpath goldens-check

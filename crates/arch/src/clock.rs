@@ -6,30 +6,30 @@
 //! the maximum clock over all cores at the final barrier.
 //!
 //! Cross-core charges — a shootdown IPI interrupting a remote core, for
-//! example — are accumulated in an atomic *interrupt debt* on the target
-//! clock and folded into the target's own timeline the next time that core
+//! example — are accumulated in an *interrupt debt* on the target clock
+//! and folded into the target's own timeline the next time that core
 //! advances. This keeps cores loosely coupled (no global event ordering is
 //! required to charge a remote core) while preserving the total cost, and
 //! the frequent barriers in the HPC workloads bound the skew between the
 //! instant a charge is incurred and the instant it is absorbed.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Virtual time / duration, measured in core clock cycles.
 pub type Cycles = u64;
 
 /// A core's virtual clock: an owner-advanced cycle counter plus an
-/// atomically chargeable interrupt debt.
+/// interrupt debt other cores charge.
 ///
-/// The clock is `Sync` so the kernel can charge remote cores while each
-/// core's owner advances its own clock.
+/// Both are [`Cell`]s so the kernel can charge a remote core through the
+/// same shared reference that advances the faulting core's clock.
 #[derive(Debug, Default)]
 pub struct CoreClock {
-    /// Cycles the core has executed, advanced only by the owning context.
-    cycles: AtomicU64,
+    /// Cycles the core has executed, advanced only on its own behalf.
+    cycles: Cell<Cycles>,
     /// Pending cycles charged by *other* cores (interrupt handling),
     /// folded into `cycles` on the next [`CoreClock::settle`].
-    debt: AtomicU64,
+    debt: Cell<Cycles>,
 }
 
 impl CoreClock {
@@ -41,47 +41,34 @@ impl CoreClock {
     /// Current virtual time including unsettled interrupt debt.
     #[inline]
     pub fn now(&self) -> Cycles {
-        self.cycles.load(Ordering::Relaxed) + self.debt.load(Ordering::Relaxed)
+        self.cycles.get() + self.debt.get()
     }
 
     /// Cycles of executed work, excluding unsettled debt.
     #[inline]
     pub fn executed(&self) -> Cycles {
-        self.cycles.load(Ordering::Relaxed)
+        self.cycles.get()
     }
 
     /// Advances the clock by `delta` cycles of the core's own work.
-    ///
-    /// `cycles` has a single writer (the owning context — see the field
-    /// doc), so a plain load + store replaces the atomic RMW: the fault
-    /// path advances the clock several times per fault and the locked
-    /// add was measurable. Remote cores only ever touch `debt`.
     #[inline]
     pub fn advance(&self, delta: Cycles) {
-        self.cycles.store(
-            self.cycles.load(Ordering::Relaxed) + delta,
-            Ordering::Relaxed,
-        );
+        self.cycles.set(self.cycles.get() + delta);
     }
 
     /// Charges `delta` cycles to this core from another core's timeline
     /// (e.g. the interrupt-handler cost of a TLB shootdown).
     #[inline]
     pub fn charge_remote(&self, delta: Cycles) {
-        self.debt.fetch_add(delta, Ordering::Relaxed);
+        self.debt.set(self.debt.get() + delta);
     }
 
     /// Folds any outstanding interrupt debt into the executed timeline and
     /// returns the amount absorbed.
     #[inline]
     pub fn settle(&self) -> Cycles {
-        let d = self.debt.swap(0, Ordering::Relaxed);
-        if d != 0 {
-            // Single-writer store, like `advance` (settle runs on the
-            // owning core's thread).
-            self.cycles
-                .store(self.cycles.load(Ordering::Relaxed) + d, Ordering::Relaxed);
-        }
+        let d = self.debt.take();
+        self.advance(d);
         d
     }
 
@@ -89,10 +76,8 @@ impl CoreClock {
     /// barrier: all participants resume at the barrier's release time).
     #[inline]
     pub fn advance_to(&self, t: Cycles) {
-        let cur = self.cycles.load(Ordering::Relaxed);
-        if t > cur {
-            // Single-writer store, like `advance`.
-            self.cycles.store(t, Ordering::Relaxed);
+        if t > self.cycles.get() {
+            self.cycles.set(t);
         }
     }
 }
@@ -131,26 +116,5 @@ mod tests {
         assert_eq!(c.now(), 100);
         c.advance_to(150);
         assert_eq!(c.now(), 150);
-    }
-
-    #[test]
-    fn concurrent_remote_charges_are_not_lost() {
-        use std::sync::Arc;
-        let c = Arc::new(CoreClock::new());
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let c = Arc::clone(&c);
-                std::thread::spawn(move || {
-                    for _ in 0..10_000 {
-                        c.charge_remote(1);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(c.now(), 80_000);
-        assert_eq!(c.settle(), 80_000);
     }
 }

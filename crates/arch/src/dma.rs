@@ -14,6 +14,8 @@
 //!
 //! [`VirtualResource`]: crate::resource::VirtualResource
 
+use std::cell::Cell;
+
 use crate::clock::Cycles;
 use crate::cost::CostModel;
 use crate::fault::{FaultInjector, FaultSite};
@@ -62,8 +64,8 @@ pub struct DmaModel {
     /// Cores that can have transfers outstanding — bounds genuine queue
     /// depth (each core blocks on its fault, which issues ≤2 transfers).
     clients: u64,
-    bytes_in: std::sync::atomic::AtomicU64,
-    bytes_out: std::sync::atomic::AtomicU64,
+    bytes_in: Cell<u64>,
+    bytes_out: Cell<u64>,
 }
 
 impl DmaModel {
@@ -105,11 +107,11 @@ impl DmaModel {
     /// waits out the fixed latency. The returned reservation's `end` is
     /// the caller-visible completion time.
     pub fn transfer(&self, now: Cycles, bytes: u64, dir: DmaDirection) -> Reservation {
-        use std::sync::atomic::Ordering::Relaxed;
-        match dir {
-            DmaDirection::HostToDevice => self.bytes_in.fetch_add(bytes, Relaxed),
-            DmaDirection::DeviceToHost => self.bytes_out.fetch_add(bytes, Relaxed),
+        let moved = match dir {
+            DmaDirection::HostToDevice => &self.bytes_in,
+            DmaDirection::DeviceToHost => &self.bytes_out,
         };
+        moved.set(moved.get() + bytes);
         let streaming = bytes * 1024 / self.bytes_per_kcycle;
         // Each core blocks on its own fault and a fault issues at most
         // two transfers (write-back + page-in), so a genuine queue never
@@ -207,12 +209,12 @@ impl DmaModel {
 
     /// Total bytes moved host → device.
     pub fn bytes_in(&self) -> u64 {
-        self.bytes_in.load(std::sync::atomic::Ordering::Relaxed)
+        self.bytes_in.get()
     }
 
     /// Total bytes moved device → host.
     pub fn bytes_out(&self) -> u64 {
-        self.bytes_out.load(std::sync::atomic::Ordering::Relaxed)
+        self.bytes_out.get()
     }
 
     /// Total cycles the engine was busy.

@@ -7,8 +7,7 @@
 //! *deterministically* whether each individual operation fails: the
 //! decision hashes the plan seed, a per-site salt, and a per-site
 //! monotone sequence number, so the same plan over the same workload
-//! produces bit-identical failure schedules regardless of host thread
-//! interleaving within a site.
+//! produces bit-identical failure schedules.
 //!
 //! Rates are capped at 50 % so recovery retry loops terminate with
 //! overwhelming probability (the kernel still enforces a hard attempt
@@ -20,8 +19,8 @@
 //! silent clamp, because sweep harnesses legitimately drive them with
 //! computed values and expect saturation semantics.
 
+use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use serde::{Deserialize, Serialize};
 
@@ -315,7 +314,7 @@ const TIER_SALT: [u64; MAX_TIERS] = [
 ];
 
 /// The compiled, shared-state form of a [`FaultPlan`]: per-site rates
-/// plus per-(site, tier) atomic sequence counters that make each
+/// plus per-(site, tier) sequence counters that make each
 /// injection decision a pure function of
 /// `(seed, site, tier, sequence_number)`.
 #[derive(Debug)]
@@ -326,7 +325,7 @@ pub struct FaultInjector {
     /// Sequence counters, one per (site, tier), flattened as
     /// `site * MAX_TIERS + tier`. Sites that never see a tier (IKC,
     /// offload) only ever touch their tier-0 counter.
-    seq: [AtomicU64; FAULT_SITES * MAX_TIERS],
+    seq: [Cell<u64>; FAULT_SITES * MAX_TIERS],
 }
 
 impl FaultInjector {
@@ -342,7 +341,7 @@ impl FaultInjector {
             seed: plan.seed,
             rate_ppm,
             param,
-            seq: std::array::from_fn(|_| AtomicU64::new(0)),
+            seq: std::array::from_fn(|_| Cell::new(0)),
         }
     }
 
@@ -380,7 +379,9 @@ impl FaultInjector {
         debug_assert!(tier < MAX_TIERS, "tier {tier} out of range");
         let i = site as usize;
         let tier = tier.min(MAX_TIERS - 1);
-        let n = self.seq[i * MAX_TIERS + tier].fetch_add(1, Relaxed);
+        let seq = &self.seq[i * MAX_TIERS + tier];
+        let n = seq.get();
+        seq.set(n + 1);
         if self.rate_ppm[i] == 0 {
             return false;
         }
@@ -405,13 +406,13 @@ impl FaultInjector {
     pub fn rolls(&self, site: FaultSite) -> u64 {
         let i = site as usize;
         (0..MAX_TIERS)
-            .map(|t| self.seq[i * MAX_TIERS + t].load(Relaxed))
+            .map(|t| self.seq[i * MAX_TIERS + t].get())
             .sum()
     }
 
     /// Number of rolls taken at `(site, tier)` so far.
     pub fn rolls_tiered(&self, site: FaultSite, tier: usize) -> u64 {
-        self.seq[site as usize * MAX_TIERS + tier.min(MAX_TIERS - 1)].load(Relaxed)
+        self.seq[site as usize * MAX_TIERS + tier.min(MAX_TIERS - 1)].get()
     }
 }
 

@@ -22,7 +22,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// The rustc `FxHash` multiply constant (a 64-bit truncation of the
-/// golden ratio, the same mixer the PSPT directory shard selector uses).
+/// golden ratio, the same mixer the PSPT page-table lock selector uses).
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// One-word-at-a-time multiply-fold hasher. Not DoS-resistant — use

@@ -13,7 +13,7 @@
 //! serialize on the channel, which is what makes offloaded syscalls a
 //! scalability hazard the lightweight kernel avoids on its fast paths.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::cell::Cell;
 
 use crate::clock::Cycles;
 use crate::cost::CostModel;
@@ -54,8 +54,8 @@ pub struct IkcChannel {
     /// Payload copy throughput, bytes per 1024 cycles (shares the PCIe
     /// link speed with the DMA engine).
     bytes_per_kcycle: u64,
-    requests: AtomicU64,
-    payload_bytes: AtomicU64,
+    requests: Cell<u64>,
+    payload_bytes: Cell<u64>,
 }
 
 impl IkcChannel {
@@ -65,8 +65,8 @@ impl IkcChannel {
             channel: VirtualResource::new(),
             latency: cost.dma_latency,
             bytes_per_kcycle: cost.dma_bytes_per_kcycle,
-            requests: AtomicU64::new(0),
-            payload_bytes: AtomicU64::new(0),
+            requests: Cell::new(0),
+            payload_bytes: Cell::new(0),
         }
     }
 
@@ -82,9 +82,9 @@ impl IkcChannel {
 
     /// Performs a round trip starting at device time `now`.
     pub fn round_trip(&self, now: Cycles, msg: IkcMessage) -> IkcCompletion {
-        self.requests.fetch_add(1, Relaxed);
+        self.requests.set(self.requests.get() + 1);
         if let IkcMessage::Syscall { payload, .. } = msg {
-            self.payload_bytes.fetch_add(payload, Relaxed);
+            self.payload_bytes.set(self.payload_bytes.get() + payload);
         }
         let service = self.service_time(msg);
         // Bounded like the DMA engine: a core has one offload outstanding.
@@ -135,12 +135,12 @@ impl IkcChannel {
 
     /// Total round trips.
     pub fn requests(&self) -> u64 {
-        self.requests.load(Relaxed)
+        self.requests.get()
     }
 
     /// Total payload bytes copied.
     pub fn payload_bytes(&self) -> u64 {
-        self.payload_bytes.load(Relaxed)
+        self.payload_bytes.get()
     }
 
     /// Total queueing delay imposed on callers.

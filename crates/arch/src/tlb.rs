@@ -295,7 +295,7 @@ impl Tlb {
 
     /// Records an additional full walk for an access whose fault had to
     /// be retried: the mapping the fault handler installed was torn down
-    /// by a concurrent eviction before this walk could re-read it, so
+    /// by another core's eviction before this walk could re-read it, so
     /// the instruction walks — and misses — again. Counts a miss and the
     /// walk penalty but not a new access (the touch itself is retired
     /// once), keeping both `faults <= misses` and access conservation

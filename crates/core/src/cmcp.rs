@@ -29,7 +29,7 @@ use cmcp_arch::FxHashMap;
 
 use cmcp_arch::VirtPage;
 
-use crate::policy::{AccessBitOracle, PolicyEvent, ReplacementPolicy};
+use crate::policy::{AccessBitOracle, ReplacementPolicy};
 
 /// Tuning knobs for CMCP.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -295,23 +295,6 @@ impl ReplacementPolicy for CmcpPolicy {
             self.stats.evict_prio += 1;
         } else {
             debug_assert!(false, "evicting untracked {block}");
-        }
-    }
-
-    fn record_batch(&mut self, events: &[PolicyEvent]) {
-        // CMCP consumes map counts. A MapCount event may describe a block
-        // another core evicted between buffering and flushing; the
-        // `contains` guard keeps the "no events for non-resident blocks"
-        // invariant (and its debug assertion) intact.
-        for &ev in events {
-            match ev {
-                PolicyEvent::Insert { block, map_count } => self.on_insert(block, map_count),
-                PolicyEvent::MapCount { block, map_count } => {
-                    if self.contains(block) {
-                        self.on_map_count_change(block, map_count);
-                    }
-                }
-            }
         }
     }
 

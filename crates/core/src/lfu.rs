@@ -14,7 +14,7 @@ use cmcp_arch::FxHashMap;
 
 use cmcp_arch::VirtPage;
 
-use crate::policy::{AccessBitOracle, PolicyEvent, ReplacementPolicy};
+use crate::policy::{AccessBitOracle, ReplacementPolicy};
 
 /// Frequency-ordered replacement with accessed-bit sampling.
 #[derive(Debug, Default)]
@@ -72,15 +72,6 @@ impl ReplacementPolicy for LfuPolicy {
             self.order.remove(&(freq, seq, block.0));
         } else {
             debug_assert!(false, "evicting untracked {block}");
-        }
-    }
-
-    fn record_batch(&mut self, events: &[PolicyEvent]) {
-        // LFU never looks at map counts, so only inserts matter.
-        for &ev in events {
-            if let PolicyEvent::Insert { block, map_count } = ev {
-                self.on_insert(block, map_count);
-            }
         }
     }
 

@@ -51,5 +51,5 @@ pub use cmcp::{CmcpConfig, CmcpPolicy};
 pub use fifo::FifoPolicy;
 pub use lfu::LfuPolicy;
 pub use lru::LruPolicy;
-pub use policy::{AccessBitOracle, NullOracle, PolicyEvent, PolicyKind, ReplacementPolicy};
+pub use policy::{AccessBitOracle, NullOracle, PolicyKind, ReplacementPolicy};
 pub use random::RandomPolicy;

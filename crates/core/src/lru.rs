@@ -19,7 +19,7 @@ use cmcp_arch::FxHashMap;
 
 use cmcp_arch::VirtPage;
 
-use crate::policy::{AccessBitOracle, PolicyEvent, ReplacementPolicy};
+use crate::policy::{AccessBitOracle, ReplacementPolicy};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ListId {
@@ -137,15 +137,6 @@ impl ReplacementPolicy for LruPolicy {
     fn on_evict(&mut self, block: VirtPage) {
         let removed = self.live.remove(&block.0);
         debug_assert!(removed.is_some(), "evicting untracked {block}");
-    }
-
-    fn record_batch(&mut self, events: &[PolicyEvent]) {
-        // LRU never looks at map counts, so only inserts matter.
-        for &ev in events {
-            if let PolicyEvent::Insert { block, map_count } = ev {
-                self.on_insert(block, map_count);
-            }
-        }
     }
 
     fn wants_periodic_scan(&self) -> bool {

@@ -25,24 +25,19 @@
 //!   adaptive page-size mode too, where a 2 MB write-back may later be
 //!   refaulted — or partially overwritten — at 64 kB granularity.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-
-use parking_lot::Mutex;
 
 use cmcp_arch::{FaultInjector, FaultSite, FxHashSet, TierConfig, VirtPage};
 
 /// Host-side block store (content-free: the simulator tracks residency
 /// and movement, not data bytes). The presence set is probed on every
-/// major fault, so it hashes with the seed-free `FxHashSet`, and an
-/// atomic mirror of its size lets the probe skip the lock entirely
-/// while no write-back has happened yet (read-mostly workloads never
-/// pay for the store they never use).
+/// major fault, so it hashes with the seed-free `FxHashSet`, and the
+/// probe skips the hash while no write-back has happened yet
+/// (read-mostly workloads never pay for the store they never use).
 #[derive(Debug, Default)]
 pub struct BackingStore {
-    present: Mutex<FxHashSet<u64>>,
-    /// `present.len()`, maintained under the lock, readable without it.
-    count: AtomicUsize,
+    present: RefCell<FxHashSet<u64>>,
 }
 
 impl BackingStore {
@@ -54,22 +49,13 @@ impl BackingStore {
     /// Whether `block` has been written back before (a fault on it needs
     /// a host→device transfer).
     pub fn contains(&self, block: VirtPage) -> bool {
-        // An empty store can answer from the counter alone. A racing
-        // first write-back is benign: the kernel only queries blocks it
-        // holds non-resident, and a block cannot be written back while a
-        // fault on it is in flight (residency transitions serialize on
-        // the block's stripe lock).
-        if self.count.load(Relaxed) == 0 {
-            return false;
-        }
-        self.present.lock().contains(&block.0)
+        let present = self.present.borrow();
+        !present.is_empty() && present.contains(&block.0)
     }
 
     /// Records a write-back of `block` (device→host).
     pub fn store(&self, block: VirtPage) {
-        let mut present = self.present.lock();
-        present.insert(block.0);
-        self.count.store(present.len(), Relaxed);
+        self.present.borrow_mut().insert(block.0);
     }
 
     /// [`BackingStore::store`] with fault injection: returns `false`
@@ -88,12 +74,12 @@ impl BackingStore {
 
     /// Number of blocks currently held on the host.
     pub fn len(&self) -> usize {
-        self.present.lock().len()
+        self.present.borrow().len()
     }
 
     /// Whether nothing has been written back yet.
     pub fn is_empty(&self) -> bool {
-        self.present.lock().is_empty()
+        self.present.borrow().is_empty()
     }
 }
 
@@ -226,10 +212,10 @@ pub enum TieredStore {
     Tiered(Box<TieredState>),
 }
 
-/// The locked state plus the immutable capacity table of a tiered store.
+/// The mutable state plus the immutable capacity table of a tiered store.
 #[derive(Debug)]
 pub struct TieredState {
-    inner: Mutex<TieredInner>,
+    inner: RefCell<TieredInner>,
     /// Per-tier capacity in 4 kB pages (0 = unbounded).
     caps: Vec<u64>,
 }
@@ -245,7 +231,7 @@ impl TieredStore {
         }
         let n = tiers.len();
         TieredStore::Tiered(Box::new(TieredState {
-            inner: Mutex::new(TieredInner {
+            inner: RefCell::new(TieredInner {
                 spans: BTreeMap::new(),
                 fifo: (0..n).map(|_| BTreeMap::new()).collect(),
                 books: vec![TierCounters::default(); n],
@@ -260,7 +246,7 @@ impl TieredStore {
     pub fn contains(&self, head: VirtPage, pages: u64) -> bool {
         match self {
             TieredStore::Flat(b) => b.contains(head),
-            TieredStore::Tiered(t) => !t.inner.lock().overlapping(head.0, pages).is_empty(),
+            TieredStore::Tiered(t) => !t.inner.borrow().overlapping(head.0, pages).is_empty(),
         }
     }
 
@@ -275,7 +261,7 @@ impl TieredStore {
                 promoted: 0,
             }),
             TieredStore::Tiered(t) => {
-                let mut inner = t.inner.lock();
+                let mut inner = t.inner.borrow_mut();
                 let hits = inner.overlapping(head.0, pages);
                 if hits.is_empty() {
                     return None;
@@ -344,7 +330,7 @@ impl TieredStore {
                         };
                     }
                 }
-                let mut inner = t.inner.lock();
+                let mut inner = t.inner.borrow_mut();
                 let end = head.0 + pages;
                 for h in inner.overlapping(head.0, pages) {
                     let old = inner.remove(h);
@@ -372,7 +358,7 @@ impl TieredStore {
     pub fn len(&self) -> usize {
         match self {
             TieredStore::Flat(b) => b.len(),
-            TieredStore::Tiered(t) => t.inner.lock().spans.len(),
+            TieredStore::Tiered(t) => t.inner.borrow().spans.len(),
         }
     }
 
@@ -385,7 +371,7 @@ impl TieredStore {
     pub fn tier_counters(&self) -> Option<Vec<TierCounters>> {
         match self {
             TieredStore::Flat(_) => None,
-            TieredStore::Tiered(t) => Some(t.inner.lock().books.clone()),
+            TieredStore::Tiered(t) => Some(t.inner.borrow().books.clone()),
         }
     }
 
@@ -397,7 +383,7 @@ impl TieredStore {
         let TieredStore::Tiered(t) = self else {
             return;
         };
-        let inner = t.inner.lock();
+        let inner = t.inner.borrow();
         let mut prev_end = 0u64;
         let mut used = vec![0u64; t.caps.len()];
         let mut spans = vec![0u64; t.caps.len()];

@@ -8,17 +8,13 @@
 //! above, eager coalescing when every sibling of a naturally aligned
 //! parent is free again.
 //!
-//! Everything sits behind one mutex and the free lists are `BTreeSet`s
-//! (lowest address first), so allocation order is a pure function of
-//! the call sequence — and every call happens in the engine's
-//! sequential commit phase, which is what keeps adaptive runs
-//! byte-identical. The lock-free heroics of
-//! the fixed pool are pointless here: the adaptive fault path is
-//! serialized by construction.
+//! The free lists are `BTreeSet`s (lowest address first), so allocation
+//! order is a pure function of the call sequence — and every call
+//! happens in the engine's sequential commit phase, which is what keeps
+//! adaptive runs byte-identical.
 
+use std::cell::RefCell;
 use std::collections::BTreeSet;
-
-use parking_lot::Mutex;
 
 use cmcp_arch::{PageSize, PhysFrame};
 
@@ -44,7 +40,7 @@ struct BuddyInner {
 /// Mixed-size device-RAM allocator. See the module docs.
 #[derive(Debug)]
 pub struct BuddyPool {
-    inner: Mutex<BuddyInner>,
+    inner: RefCell<BuddyInner>,
     total_pages: u64,
 }
 
@@ -55,7 +51,7 @@ impl BuddyPool {
         assert!(m2_blocks > 0, "need at least one 2MB block");
         let span = PageSize::M2.pages_4k() as u32;
         BuddyPool {
-            inner: Mutex::new(BuddyInner {
+            inner: RefCell::new(BuddyInner {
                 free: [
                     BTreeSet::new(),
                     BTreeSet::new(),
@@ -74,7 +70,7 @@ impl BuddyPool {
     /// 4 kB request only fails when the pool is truly empty).
     pub fn alloc(&self, size: PageSize) -> Option<PhysFrame> {
         let want = level_of(size);
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         // Find the smallest class at or above `want` with a free block.
         let from = (want..LEVELS.len()).find(|&l| !inner.free[l].is_empty())?;
         let head = *inner.free[from].iter().next().expect("nonempty class");
@@ -104,7 +100,7 @@ impl BuddyPool {
             frame.0.is_multiple_of(span),
             "freeing unaligned {size} block head {frame}"
         );
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         // Double-free check: the block must not already be covered by a
         // free block of its own or any larger class (a plain re-insert
         // test would miss frees that coalesced upward).
@@ -147,17 +143,17 @@ impl BuddyPool {
             frame.0.is_multiple_of(span),
             "quarantining unaligned {size} block head {frame}"
         );
-        self.inner.lock().quarantined_pages += size.pages_4k() as u64;
+        self.inner.borrow_mut().quarantined_pages += size.pages_4k() as u64;
     }
 
     /// Currently free 4 kB pages.
     pub fn free_pages(&self) -> u64 {
-        self.inner.lock().free_pages
+        self.inner.borrow().free_pages
     }
 
     /// Pages ever quarantined.
     pub fn quarantined_pages(&self) -> u64 {
-        self.inner.lock().quarantined_pages
+        self.inner.borrow().quarantined_pages
     }
 
     /// Total capacity in 4 kB pages.

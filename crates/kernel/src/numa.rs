@@ -43,8 +43,9 @@
 //! window, paired with exact-cost `ReplicaSync` / `Migration` trace
 //! events, so the validated breakdown stays exact.
 
+use std::cell::RefCell;
+
 use cmcp_arch::{FxHashMap, NumaConfig, VirtPage};
-use parking_lot::Mutex;
 
 /// Per-block NUMA state: the node whose DRAM budget holds the block and
 /// the bitmask of nodes holding a page-table replica of its mapping
@@ -57,9 +58,7 @@ pub struct BlockNuma {
     pub mask: u8,
 }
 
-/// Interior state, behind one leaf-level lock. The engine commits on
-/// one thread, so the lock is uncontended there; it exists so direct (engine-less) `Vmm` use from
-/// tests stays safe.
+/// Interior state, mutated through the shared ledger reference.
 #[derive(Debug, Default)]
 struct BooksInner {
     /// Blocks charged to each node's budget.
@@ -79,7 +78,7 @@ pub struct NumaBooks {
     /// per-node conservation (`Σ used == resident blocks`) follows from
     /// the frame pool's own conservation.
     capacity: Vec<u64>,
-    inner: Mutex<BooksInner>,
+    inner: RefCell<BooksInner>,
 }
 
 /// What a books operation decided, for the caller to charge and trace.
@@ -114,7 +113,7 @@ impl NumaBooks {
                 .into_iter()
                 .map(|b| b as u64)
                 .collect(),
-            inner: Mutex::new(BooksInner {
+            inner: RefCell::new(BooksInner {
                 used: vec![0; nodes],
                 blocks: FxHashMap::default(),
             }),
@@ -135,12 +134,12 @@ impl NumaBooks {
 
     /// Per-node used-block counts (exact at quiescence).
     pub fn used(&self) -> Vec<u64> {
-        self.inner.lock().used.clone()
+        self.inner.borrow().used.clone()
     }
 
     /// The `(home, replica mask)` of a tracked block, if resident.
     pub fn block_state(&self, head: VirtPage) -> Option<BlockNuma> {
-        self.inner.lock().blocks.get(&head.0).copied()
+        self.inner.borrow().blocks.get(&head.0).copied()
     }
 
     /// Major-fault placement: charges the block to the faulting core's
@@ -151,7 +150,7 @@ impl NumaBooks {
     /// first touch.
     pub fn on_insert(&self, core: usize, head: VirtPage) -> Option<u8> {
         let node = self.node_of(core) as usize;
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let home = if inner.used[node] < self.capacity[node] {
             node
         } else {
@@ -183,10 +182,9 @@ impl NumaBooks {
     pub fn on_map(&self, core: usize, head: VirtPage, node_counts: &[u32]) -> MapDecision {
         let node = self.node_of(core);
         let mut d = MapDecision::default();
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let Some(ent) = inner.blocks.get_mut(&head.0) else {
-            // Raced with an eviction teardown; the re-fault will go
-            // down the major path and re-place the block.
+            // Untracked block: nothing to sync or migrate.
             return d;
         };
         if self.config.replicate {
@@ -223,7 +221,7 @@ impl NumaBooks {
     /// replica invalidations (replication on) or the remote master
     /// update (off).
     pub fn on_evict(&self, head: VirtPage) -> Option<BlockNuma> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let ent = inner.blocks.remove(&head.0)?;
         inner.used[ent.home as usize] -= 1;
         Some(ent)
@@ -235,7 +233,7 @@ impl NumaBooks {
     /// untouched — the frames never moved). Returns the number of
     /// replica entries dropped, for the rebuild's invalidation count.
     pub fn on_rebuild(&self) -> u64 {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let mut dropped = 0u64;
         for ent in inner.blocks.values_mut() {
             dropped += u64::from(ent.mask.count_ones());

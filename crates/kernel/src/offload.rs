@@ -10,7 +10,7 @@
 //! core's clock, so offload-heavy phases serialize visibly, which is
 //! precisely why the kernel design keeps them off the paging fast path.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::cell::Cell;
 
 use cmcp_arch::{CoreClock, CoreId, Cycles, FaultInjector, IkcChannel, IkcMessage};
 
@@ -53,8 +53,8 @@ impl Syscall {
 #[derive(Debug)]
 pub struct OffloadEngine {
     channel: IkcChannel,
-    calls: Vec<AtomicU64>,
-    wait_cycles: Vec<AtomicU64>,
+    calls: Vec<Cell<u64>>,
+    wait_cycles: Vec<Cell<u64>>,
 }
 
 impl OffloadEngine {
@@ -63,8 +63,8 @@ impl OffloadEngine {
     pub fn new(cost: &CostModel, cores: usize) -> OffloadEngine {
         OffloadEngine {
             channel: IkcChannel::new(cost),
-            calls: (0..cores).map(|_| AtomicU64::new(0)).collect(),
-            wait_cycles: (0..cores).map(|_| AtomicU64::new(0)).collect(),
+            calls: vec![Cell::new(0); cores],
+            wait_cycles: vec![Cell::new(0); cores],
         }
     }
 
@@ -75,8 +75,7 @@ impl OffloadEngine {
         let done = self.channel.round_trip(now, call.message());
         let wait = done.done_at.saturating_sub(now);
         clock.advance(wait);
-        self.calls[core.index()].fetch_add(1, Relaxed);
-        self.wait_cycles[core.index()].fetch_add(wait, Relaxed);
+        self.count(core, wait);
         wait
     }
 
@@ -94,8 +93,7 @@ impl OffloadEngine {
         let (done, drops) = self.channel.round_trip_checked(now, call.message(), inj);
         let wait = done.done_at.saturating_sub(now);
         clock.advance(wait);
-        self.calls[core.index()].fetch_add(1, Relaxed);
-        self.wait_cycles[core.index()].fetch_add(wait, Relaxed);
+        self.count(core, wait);
         (wait, drops)
     }
 
@@ -108,19 +106,24 @@ impl OffloadEngine {
         let msg = call.message();
         let wait = 2 * self.channel.service_time(msg) + 4 * self.channel.latency();
         clock.advance(wait);
-        self.calls[core.index()].fetch_add(1, Relaxed);
-        self.wait_cycles[core.index()].fetch_add(wait, Relaxed);
+        self.count(core, wait);
         wait
+    }
+
+    /// Books one call of `wait` cycles against `core`.
+    fn count(&self, core: CoreId, wait: Cycles) {
+        crate::stats::add(&self.calls[core.index()], 1);
+        crate::stats::add(&self.wait_cycles[core.index()], wait);
     }
 
     /// Offloaded calls issued by `core`.
     pub fn calls(&self, core: CoreId) -> u64 {
-        self.calls[core.index()].load(Relaxed)
+        self.calls[core.index()].get()
     }
 
     /// Cycles `core` spent blocked on offloads.
     pub fn wait_cycles(&self, core: CoreId) -> u64 {
-        self.wait_cycles[core.index()].load(Relaxed)
+        self.wait_cycles[core.index()].get()
     }
 
     /// Total round trips across cores.

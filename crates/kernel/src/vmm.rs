@@ -25,16 +25,13 @@
 //! implementation, which performs real PTE scans and pays for the remote
 //! TLB invalidations x86 requires.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 
 use cmcp_arch::{
     dma::DmaDirection, CoreClock, CoreId, CoreSet, CostModel, Cycles, DmaModel, FaultInjector,
     FaultSite, FxHashMap, FxHashSet, PageSize, PhysFrame, RingModel, VirtPage, VirtualResource,
 };
-use cmcp_core::{AccessBitOracle, PolicyEvent, ReplacementPolicy};
+use cmcp_core::{AccessBitOracle, ReplacementPolicy};
 use cmcp_pagetable::{MapOutcome, Pspt, RegularTables, TableScheme, Translation};
 use cmcp_trace::{EventKind, NullTracer, Recorder, MAINTENANCE_CORE};
 
@@ -44,22 +41,9 @@ use crate::config::{KernelConfig, SchemeChoice};
 use crate::frames::FramePool;
 use crate::numa::{BlockNuma, NumaBooks};
 use crate::offload::{OffloadEngine, Syscall};
-use crate::stats::{owner_add, CoreStats, GlobalStats};
+use crate::stats::{add, CoreStats, GlobalStats};
 
 const LOCK_SHARDS: usize = 64;
-
-/// Lock stripes over the residency metadata. A fixed power of two keyed
-/// by the same page hash as the virtual PSPT locks, so the mapping from
-/// block to stripe is a pure function of the configuration, and
-/// deterministic runs stay bit-identical.
-const RESIDENT_SHARDS: usize = 64;
-
-/// Bounded back-off for the allocation loop: a dry pool with an empty
-/// policy can only be a transient (another core holds the last frames
-/// between `alloc` and publishing its insert); this many consecutive
-/// failures means the configuration genuinely has fewer blocks than
-/// in-flight faults.
-const ALLOC_RETRY_LIMIT: u32 = 1 << 22;
 
 /// Base delay of the exponential retry backoff after an injected fault:
 /// ~2 µs at the KNC's 1.053 GHz. Doubles per attempt up to
@@ -76,32 +60,13 @@ const BACKOFF_CAP_SHIFT: u32 = 6;
 /// not unlucky, and the run aborts loudly instead of livelocking.
 const MAX_RECOVERY_ATTEMPTS: u32 = 64;
 
-/// Number of policy events a core may buffer before `maybe_flush`
-/// forces a drain. Buffering is invisible to policy decisions: every
-/// consumer of the policy (victim selection, the scan timer, run-end
-/// queries) flushes the buffers — in global stamp order — before reading
-/// or deciding anything, so the event stream each policy observes is
-/// identical at any limit. The limit only bounds buffer memory and, on
-/// the fault hot path, how often the policy mutex is taken when no
-/// eviction forces a flush anyway.
-const POLICY_BATCH: usize = 32;
-
-/// Flush drains at or below this many events bypass the shared
-/// `flush_events` vector (and its lock) and stage on the stack instead.
-/// Sized for the steady eviction path — the events one core buffers
-/// between two evictions — not for a full `POLICY_BATCH`, so the
-/// stack fill stays a couple of cache lines.
-const FLUSH_STACK_EVENTS: usize = 8;
-
-/// One lock stripe of the residency metadata: the resident blocks that
-/// hash to this stripe and their deferred write-back debt. Keeping
-/// `pending_dirty` in the same stripe as the map means every residency
-/// transition touches exactly one host lock. Both containers hash with
-/// the seed-free [`FxHashMap`]/[`FxHashSet`]: every fault performs a
-/// lookup-or-insert here, and SipHash was measurable on the hot path.
+/// The residency metadata: the resident blocks and their deferred
+/// write-back debt. Both containers hash with the seed-free
+/// [`FxHashMap`]/[`FxHashSet`]: every fault performs a lookup-or-insert
+/// here, and SipHash was measurable on the hot path.
 #[derive(Debug, Default)]
-struct ResidentShard {
-    /// block head → residency entry for resident blocks of this stripe.
+struct Residency {
+    /// block head → residency entry, for every resident block.
     map: FxHashMap<u64, Resident>,
     /// Blocks whose dirty bits were harvested by a PSPT rebuild before
     /// they could be written back: they still owe a write-back when
@@ -111,8 +76,7 @@ struct ResidentShard {
     /// blocks of the region use, number of resident blocks). A region's
     /// granularity is chosen by the pressure controller at its first
     /// fault and lowered by split-on-evict; it resets when the region
-    /// empties. Keeping it in the stripe (adaptive stripes are keyed by
-    /// the 2 MB head) means region and blocks share one lock.
+    /// empties.
     regions: FxHashMap<u64, (PageSize, u32)>,
 }
 
@@ -124,9 +88,8 @@ struct Resident {
     size: PageSize,
 }
 
-/// Device-RAM allocator: the fixed-size lock-free pool for normal runs,
-/// the mutex-guarded mixed-size buddy for adaptive page-size runs (whose
-/// fault path the engine serializes anyway).
+/// Device-RAM allocator: the fixed-size pool for normal runs, the
+/// mixed-size buddy for adaptive page-size runs.
 enum Frames {
     Pool(FramePool),
     Buddy(BuddyPool),
@@ -139,8 +102,9 @@ pub enum FaultKind {
     Major,
     /// PSPT minor fault: block resident, PTE copied from a sibling.
     MinorCopy,
-    /// Lost race: the block became mapped for this core between the TLB
-    /// miss and the handler.
+    /// The block was already mapped for this core when the handler ran:
+    /// under regular tables, another core's fault earlier in the same
+    /// commit phase mapped it after this core's walk missed.
     Spurious,
 }
 
@@ -151,44 +115,43 @@ pub enum FaultKind {
 /// constant `false`), so untraced runs pay no cost for the
 /// instrumentation. Build a traced instance with
 /// [`Vmm::with_tracer`].
+///
+/// All state is single-owner: the fault handlers take `&self` and
+/// mutate through `Cell`/`RefCell`, so a `Vmm` is `Send` (a whole run
+/// can move to another thread) but not `Sync`. Sharing one run across
+/// threads does not compile:
+///
+/// ```compile_fail
+/// use cmcp_kernel::{KernelConfig, Vmm};
+/// let vmm = Vmm::new(KernelConfig::new(2, 4));
+/// std::thread::scope(|s| {
+///     s.spawn(|| vmm.resident_blocks());
+///     s.spawn(|| vmm.resident_blocks());
+/// });
+/// ```
+///
+/// Every race the paper's kernel has — page-table lock and DMA queueing,
+/// shootdowns landing on running cores, two cores faulting one page — is
+/// simulated in virtual time (`VirtualResource`, `CoreClock` debt, the
+/// engine's commit order), not reproduced with host threads.
 pub struct Vmm<R: Recorder = NullTracer> {
     cfg: KernelConfig,
     scheme: SchemeObj,
-    policy: Mutex<Box<dyn ReplacementPolicy>>,
+    policy: RefCell<Box<dyn ReplacementPolicy>>,
     frames: Frames,
     backing: TieredStore,
     dma: DmaModel,
     ring: RingModel,
-    /// Lock-striped residency metadata, indexed by block hash.
-    resident: Vec<Mutex<ResidentShard>>,
-    /// Per-stripe resident counts (relaxed), so stats reads never sweep
-    /// the stripe locks.
-    resident_len: Vec<AtomicUsize>,
-    /// Per-core buffers of deferred policy events, flushed in one policy
-    /// lock acquisition per [`POLICY_BATCH`] events.
-    batch_bufs: Vec<Mutex<Vec<(u64, PolicyEvent)>>>,
-    /// Per-core buffered-event counts, maintained under the buffer lock
-    /// but readable without it — flushes skip empty buffers and
-    /// `maybe_flush` decides without locking anything.
-    batch_pending: Vec<AtomicUsize>,
-    /// Global order stamp for deferred events, taken while the block's
-    /// stripe lock is held so same-block events are totally ordered.
-    batch_seq: AtomicU64,
-    /// Merge area for flushes; only touched under the policy lock.
-    flush_scratch: Mutex<Vec<(u64, PolicyEvent)>>,
-    /// Reused event slice handed to `record_batch`; only touched under
-    /// the policy lock.
-    flush_events: Mutex<Vec<PolicyEvent>>,
+    resident: RefCell<Residency>,
     /// Regular tables: one address-space-wide lock.
     pt_global_lock: VirtualResource,
     /// PSPT: sharded fine-grained locks.
     pt_shard_locks: Vec<VirtualResource>,
-    clocks: Arc<Vec<CoreClock>>,
+    clocks: Vec<CoreClock>,
     /// Pending TLB invalidations per core, applied by the owning core:
     /// `(head, span_4k)` — flat runs always post the configured block
     /// span; adaptive runs post the victim's actual granularity.
-    mailboxes: Vec<Mutex<Vec<(VirtPage, u32)>>>,
-    mailbox_flags: Vec<AtomicBool>,
+    mailboxes: Vec<RefCell<Vec<(VirtPage, u32)>>>,
     core_stats: Vec<CoreStats>,
     global: GlobalStats,
     offload: OffloadEngine,
@@ -200,10 +163,10 @@ pub struct Vmm<R: Recorder = NullTracer> {
     /// cold and the run bit-identical to a plan-free build.
     injector: Option<FaultInjector>,
     /// Offloaded syscalls issued so far (drives the offload-death rule).
-    offload_calls: AtomicU64,
+    offload_calls: Cell<u64>,
     /// Latched once the offload engine dies; all later syscalls take the
     /// synchronous fallback.
-    offload_dead: AtomicBool,
+    offload_dead: Cell<bool>,
     tracer: R,
 }
 
@@ -262,46 +225,31 @@ impl<R: Recorder> Vmm<R> {
         };
         Vmm {
             scheme,
-            policy: Mutex::new(cfg.policy.build(cfg.device_blocks)),
+            policy: RefCell::new(cfg.policy.build(cfg.device_blocks)),
             frames: if cfg.adaptive {
                 // Adaptive page sizes need mixed-granularity allocation:
                 // the buddy pool spans the same device RAM, counted in
                 // 2 MB regions.
                 Frames::Buddy(BuddyPool::new(cfg.device_blocks))
             } else {
-                // One freelist shard per core (capped): a pure function
-                // of the config, so identical runs allocate identically.
-                Frames::Pool(FramePool::with_shards(
-                    cfg.block_size,
-                    cfg.device_blocks,
-                    cfg.cores.min(RESIDENT_SHARDS),
-                ))
+                Frames::Pool(FramePool::new(cfg.block_size, cfg.device_blocks))
             },
             backing: TieredStore::new(cfg.tiers(), cfg.adaptive),
             dma: DmaModel::with_clients(&cfg.cost, cfg.cores),
             ring: RingModel::new(cfg.cores, &cfg.cost),
-            resident: (0..RESIDENT_SHARDS)
-                .map(|_| Mutex::new(ResidentShard::default()))
-                .collect(),
-            resident_len: (0..RESIDENT_SHARDS).map(|_| AtomicUsize::new(0)).collect(),
-            batch_bufs: (0..cfg.cores).map(|_| Mutex::new(Vec::new())).collect(),
-            batch_pending: (0..cfg.cores).map(|_| AtomicUsize::new(0)).collect(),
-            batch_seq: AtomicU64::new(0),
-            flush_scratch: Mutex::new(Vec::new()),
-            flush_events: Mutex::new(Vec::new()),
+            resident: RefCell::default(),
             pt_global_lock: VirtualResource::new(),
             pt_shard_locks: (0..LOCK_SHARDS).map(|_| VirtualResource::new()).collect(),
-            clocks: Arc::new((0..cfg.cores).map(|_| CoreClock::new()).collect()),
-            mailboxes: (0..cfg.cores).map(|_| Mutex::new(Vec::new())).collect(),
-            mailbox_flags: (0..cfg.cores).map(|_| AtomicBool::new(false)).collect(),
+            clocks: (0..cfg.cores).map(|_| CoreClock::new()).collect(),
+            mailboxes: (0..cfg.cores).map(|_| RefCell::default()).collect(),
             core_stats: (0..cfg.cores).map(|_| CoreStats::default()).collect(),
             global: GlobalStats::default(),
             offload: OffloadEngine::new(&cfg.cost, cfg.cores),
             numa: (!cfg.cost.numa.is_single())
                 .then(|| NumaBooks::new(cfg.cost.numa.clone(), cfg.cores, cfg.device_blocks)),
             injector: cfg.fault_plan.as_ref().map(FaultInjector::new),
-            offload_calls: AtomicU64::new(0),
-            offload_dead: AtomicBool::new(false),
+            offload_calls: Cell::new(0),
+            offload_dead: Cell::new(false),
             tracer,
             cfg,
         }
@@ -320,7 +268,7 @@ impl<R: Recorder> Vmm<R> {
     }
 
     /// The per-core virtual clocks (shared with the engine).
-    pub fn clocks(&self) -> &Arc<Vec<CoreClock>> {
+    pub fn clocks(&self) -> &[CoreClock] {
         &self.clocks
     }
 
@@ -359,134 +307,26 @@ impl<R: Recorder> Vmm<R> {
                 .sum::<Cycles>()
     }
 
-    /// Currently resident blocks. A relaxed sum over the per-stripe
-    /// counters: exact when the kernel is quiescent (between faults, or
-    /// post-run), approximate mid-race — never sweeps the stripe locks.
+    /// Currently resident blocks.
     pub fn resident_blocks(&self) -> usize {
-        self.resident_len.iter().map(|n| n.load(Relaxed)).sum()
+        self.resident.borrow().map.len()
     }
 
-    /// Flushes every core's buffered policy events (one policy-lock
-    /// acquisition). Engines call this at run end so post-run policy
-    /// queries see a fully applied event stream.
-    pub fn flush_policy_events(&self) {
-        let mut policy = self.policy.lock();
-        self.flush_locked(&mut policy);
-    }
-
-    /// Drains all per-core buffers into the policy, merged in global
-    /// stamp order. Caller holds the policy lock. The pending counters
-    /// let the common case — one core's buffer holds everything — skip
-    /// the other buffers' locks and the merge sort entirely.
-    fn flush_locked(&self, policy: &mut Box<dyn ReplacementPolicy>) {
-        // Scan the counters before touching any lock: the evict-path
-        // flush frequently finds everything already drained.
-        let mut nonempty = 0usize;
-        let mut only = 0usize;
-        for (c, n) in self.batch_pending.iter().enumerate() {
-            if n.load(Relaxed) > 0 {
-                nonempty += 1;
-                only = c;
-            }
-        }
-        match nonempty {
-            0 => {}
-            1 => {
-                // A single core's pushes are already in stamp order. The
-                // common drain is the handful of events buffered since
-                // the last eviction, so stage small batches on the stack
-                // and skip the shared merge vector (and its lock).
-                let mut buf = self.batch_bufs[only].lock();
-                let n = buf.len();
-                if n <= FLUSH_STACK_EVENTS {
-                    let mut stack = [PolicyEvent::MapCount {
-                        block: VirtPage(0),
-                        map_count: 0,
-                    }; FLUSH_STACK_EVENTS];
-                    for (slot, (_, ev)) in stack.iter_mut().zip(buf.drain(..)) {
-                        *slot = ev;
-                    }
-                    self.batch_pending[only].store(0, Relaxed);
-                    drop(buf);
-                    policy.record_batch(&stack[..n]);
-                } else {
-                    let mut events = self.flush_events.lock();
-                    events.clear();
-                    events.extend(buf.drain(..).map(|(_, ev)| ev));
-                    self.batch_pending[only].store(0, Relaxed);
-                    drop(buf);
-                    policy.record_batch(&events);
-                }
-            }
-            _ => {
-                let mut events = self.flush_events.lock();
-                events.clear();
-                let mut scratch = self.flush_scratch.lock();
-                scratch.clear();
-                for (c, buf) in self.batch_bufs.iter().enumerate() {
-                    if self.batch_pending[c].load(Relaxed) > 0 {
-                        let mut b = buf.lock();
-                        scratch.append(&mut b);
-                        self.batch_pending[c].store(0, Relaxed);
-                    }
-                }
-                scratch.sort_unstable_by_key(|&(seq, _)| seq);
-                events.extend(scratch.iter().map(|&(_, ev)| ev));
-                scratch.clear();
-                if !events.is_empty() {
-                    policy.record_batch(&events);
-                }
-            }
-        }
-    }
-
-    /// Buffers a policy event for `core`. Must be called while holding
-    /// the lock of the stripe the event's block lives in, so the global
-    /// stamp orders same-block events correctly.
-    fn push_policy_event(&self, core: CoreId, ev: PolicyEvent) {
-        let seq = self.batch_seq.fetch_add(1, Relaxed);
-        let mut buf = self.batch_bufs[core.index()].lock();
-        buf.push((seq, ev));
-        self.batch_pending[core.index()].store(buf.len(), Relaxed);
-    }
-
-    /// Flushes if `core`'s buffer reached the batch limit. Called with
-    /// no stripe lock held.
-    fn maybe_flush(&self, core: CoreId) {
-        if self.batch_pending[core.index()].load(Relaxed) >= POLICY_BATCH {
-            self.flush_policy_events();
-        }
-    }
-
-    #[inline]
-    fn resident_shard_of(&self, head: VirtPage) -> usize {
-        // Same multiply-shift hash as the virtual PSPT locks: the stripe
-        // is a function of the page alone.
-        let h = (head.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize;
-        h % RESIDENT_SHARDS
-    }
-
-    /// Takes a residency stripe lock on the fault path: counted per core
-    /// and traced (zero virtual cycles — host locks cost no simulated
-    /// time; the event exists so host-contention analyses line up with
-    /// the kernel counters).
-    fn lock_resident_shard(
-        &self,
-        core: CoreId,
-        shard: usize,
-    ) -> parking_lot::MutexGuard<'_, ResidentShard> {
-        let guard = self.resident[shard].lock();
-        owner_add(&self.core_stats[core.index()].shard_lock_acquires, 1);
+    /// Counts and traces one fault-path access to the residency map:
+    /// zero virtual cycles (host bookkeeping costs no simulated time);
+    /// the event exists so host-cost analyses line up with the kernel
+    /// counters.
+    fn note_residency_access(&self, core: CoreId, head: VirtPage) {
+        add(&self.core_stats[core.index()].shard_lock_acquires, 1);
         if R::ENABLED {
             self.tracer.record(
                 core.0,
                 self.clocks[core.index()].now(),
                 EventKind::ShardLock,
-                shard as u64,
+                head.0,
                 0,
             );
         }
-        guard
     }
 
     /// The compiled fault injector, if a plan is active.
@@ -496,23 +336,17 @@ impl<R: Recorder> Vmm<R> {
 
     /// Whether the offload engine has died under the fault plan.
     pub fn offload_dead(&self) -> bool {
-        self.offload_dead.load(Relaxed)
+        self.offload_dead.get()
     }
 
     /// Whether `page` is currently resident in device RAM (any block
     /// granularity). Quiescent-state query for the test oracles.
     pub fn block_resident(&self, page: VirtPage) -> bool {
+        let resident = self.resident.borrow();
         if self.cfg.adaptive {
-            let m2 = page.align_down(PageSize::M2);
-            let shard = self.resident[self.resident_shard_of(m2)].lock();
-            return PageSize::ALL.iter().any(|&s| {
-                let head = page.align_down(s);
-                shard.map.get(&head.0).is_some_and(|ent| ent.size == s)
-            });
+            return Self::covering_entry(&resident, page).is_some();
         }
-        let head = self.block_of(page);
-        let idx = self.resident_shard_of(head);
-        self.resident[idx].lock().map.contains_key(&head.0)
+        resident.map.contains_key(&self.block_of(page).0)
     }
 
     /// Whether the backing store holds a written-back copy of `page`.
@@ -580,14 +414,10 @@ impl<R: Recorder> Vmm<R> {
     pub fn frame_audit_pages(&self) -> (u64, u64, u64, u64) {
         let resident: u64 = self
             .resident
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .map
-                    .values()
-                    .map(|ent| ent.size.pages_4k() as u64)
-                    .sum::<u64>()
-            })
+            .borrow()
+            .map
+            .values()
+            .map(|ent| ent.size.pages_4k() as u64)
             .sum();
         match &self.frames {
             Frames::Buddy(b) => (
@@ -612,7 +442,7 @@ impl<R: Recorder> Vmm<R> {
     /// counter and emits the paired `FaultInjected` event (zero cycles —
     /// the recovery events carry the time).
     fn note_injected(&self, core: CoreId, site: FaultSite, attempt: u64) {
-        owner_add(&self.core_stats[core.index()].faults_injected, 1);
+        add(&self.core_stats[core.index()].faults_injected, 1);
         if R::ENABLED {
             self.tracer.record(
                 core.0,
@@ -633,8 +463,8 @@ impl<R: Recorder> Vmm<R> {
         let clock = &self.clocks[core.index()];
         clock.advance(delay);
         let st = &self.core_stats[core.index()];
-        owner_add(&st.fault_retries, 1);
-        owner_add(&st.retry_backoff_cycles, delay);
+        add(&st.fault_retries, 1);
+        add(&st.retry_backoff_cycles, delay);
         if R::ENABLED {
             self.tracer
                 .record(core.0, clock.now(), EventKind::Retry, delay, site.code());
@@ -660,22 +490,17 @@ impl<R: Recorder> Vmm<R> {
         with_scheme!(self, s => s.mark_accessed(core, page, write));
     }
 
-    /// Whether `core` has pending TLB invalidations (lock-free check).
+    /// Whether `core` has pending TLB invalidations.
     #[inline]
     pub fn has_pending_invalidations(&self, core: CoreId) -> bool {
-        self.mailbox_flags[core.index()].load(Relaxed)
+        !self.mailboxes[core.index()].borrow().is_empty()
     }
 
     /// Drains `core`'s pending invalidations — `(head, span_4k)` pairs —
     /// into `out` (the engine applies them to the core's TLB; the
     /// interrupt cost was already charged by the shootdown).
     pub fn drain_invalidations(&self, core: CoreId, out: &mut Vec<(VirtPage, u32)>) {
-        if !self.has_pending_invalidations(core) {
-            return;
-        }
-        let mut mb = self.mailboxes[core.index()].lock();
-        out.append(&mut mb);
-        self.mailbox_flags[core.index()].store(false, Relaxed);
+        out.append(&mut self.mailboxes[core.index()].borrow_mut());
     }
 
     /// Virtual-time period of the statistics scan timer.
@@ -698,14 +523,15 @@ impl<R: Recorder> Vmm<R> {
         let clock = &self.clocks[core.index()];
         let inj = self.injector.as_ref();
         if let Some(threshold) = inj.and_then(|i| i.offload_death_after()) {
-            let n = self.offload_calls.fetch_add(1, Relaxed);
-            if n >= threshold && !self.offload_dead.swap(true, Relaxed) {
+            let n = self.offload_calls.get();
+            self.offload_calls.set(n + 1);
+            if n >= threshold && !self.offload_dead.replace(true) {
                 self.note_injected(core, FaultSite::Offload, n);
             }
         }
-        if self.offload_dead.load(Relaxed) {
+        if self.offload_dead.get() {
             let wait = self.offload.sync_syscall(core, clock, call);
-            self.global.sync_syscalls.fetch_add(1, Relaxed);
+            add(&self.global.sync_syscalls, 1);
             return wait;
         }
         let (wait, drops) = self.offload.syscall_with_faults(core, clock, call, inj);
@@ -714,7 +540,7 @@ impl<R: Recorder> Vmm<R> {
             // *not* retry-backoff cycles — each drop is surfaced as an
             // injected fault only, and the timeout itself is already in
             // the offload wait.
-            self.global.ikc_drops.fetch_add(drops as u64, Relaxed);
+            add(&self.global.ikc_drops, drops as u64);
             for k in 0..drops as u64 {
                 self.note_injected(core, FaultSite::Ikc, k);
             }
@@ -734,52 +560,36 @@ impl<R: Recorder> Vmm<R> {
         if !matches!(self.cfg.scheme, SchemeChoice::Pspt) {
             return None;
         }
-        // Stripe by stripe, under that stripe's lock: no snapshot of the
-        // whole resident set is ever materialized (the old code cloned
-        // every key into a fresh Vec on each pass), and faults on the
-        // other 63 stripes proceed concurrently.
         let mut torn = 0;
-        for (idx, shard) in self.resident.iter().enumerate() {
-            let mut guard = shard.lock();
-            if R::ENABLED && !guard.map.is_empty() {
-                self.tracer.record(
-                    MAINTENANCE_CORE,
-                    self.maintenance_now(),
-                    EventKind::ShardLock,
-                    idx as u64,
-                    0,
-                );
-            }
-            let ResidentShard {
-                map, pending_dirty, ..
-            } = &mut *guard;
-            for (&head, ent) in map.iter() {
-                let head = VirtPage(head);
-                if let Some(out) = with_scheme!(self, s => s.unmap_all(head, ent.size)) {
-                    torn += 1;
-                    // The rebuild runs on the dedicated maintenance
-                    // hyperthreads (like the scan timer); targets still pay
-                    // their interrupt cost.
-                    self.shootdown(None, head, ent.size.pages_4k() as u32, &out.mappers);
-                    // Unmapping discards the PTE dirty bits; remember the
-                    // write-back debt for the eventual eviction.
-                    if out.dirty {
-                        pending_dirty.insert(head.0);
-                    }
+        let mut resident = self.resident.borrow_mut();
+        let Residency {
+            map, pending_dirty, ..
+        } = &mut *resident;
+        for (&head, ent) in map.iter() {
+            let head = VirtPage(head);
+            if let Some(out) = with_scheme!(self, s => s.unmap_all(head, ent.size)) {
+                torn += 1;
+                // The rebuild runs on the dedicated maintenance
+                // hyperthreads (like the scan timer); targets still pay
+                // their interrupt cost.
+                self.shootdown(None, head, ent.size.pages_4k() as u32, &out.mappers);
+                // Unmapping discards the PTE dirty bits; remember the
+                // write-back debt for the eventual eviction.
+                if out.dirty {
+                    pending_dirty.insert(head.0);
                 }
             }
         }
+        drop(resident);
         // The rebuild's global shootdown tore down every PTE, so every
         // node-local replica is gone with it: clear the masks and count
         // the drops (the maintenance hyperthreads' own time is free,
         // like the scan timer's).
         if let Some(books) = &self.numa {
             let dropped = books.on_rebuild();
-            self.global
-                .replica_invalidations
-                .fetch_add(dropped, Relaxed);
+            add(&self.global.replica_invalidations, dropped);
         }
-        self.global.rebuilds.fetch_add(1, Relaxed);
+        add(&self.global.rebuilds, 1);
         if R::ENABLED {
             self.tracer.record(
                 MAINTENANCE_CORE,
@@ -799,7 +609,7 @@ impl<R: Recorder> Vmm<R> {
 
     /// Whether the configured policy uses the scan timer at all.
     pub fn wants_periodic_scan(&self) -> bool {
-        self.policy.lock().wants_periodic_scan()
+        self.policy.borrow().wants_periodic_scan()
     }
 
     #[inline]
@@ -872,8 +682,8 @@ impl<R: Recorder> Vmm<R> {
             if let Some(req) = requester {
                 self.clocks[req.index()].advance(cost.requester);
                 let st = &self.core_stats[req.index()];
-                owner_add(&st.shootdown_cycles, cost.requester);
-                owner_add(&st.remote_inv_sent, cost.targets as u64);
+                add(&st.shootdown_cycles, cost.requester);
+                add(&st.remote_inv_sent, cost.targets as u64);
                 if R::ENABLED {
                     self.tracer.record(
                         req.0,
@@ -889,11 +699,8 @@ impl<R: Recorder> Vmm<R> {
                     continue;
                 }
                 self.clocks[t.index()].charge_remote(cost.per_target);
-                self.core_stats[t.index()]
-                    .remote_inv_received
-                    .fetch_add(1, Relaxed);
-                self.mailboxes[t.index()].lock().push((page, span));
-                self.mailbox_flags[t.index()].store(true, Relaxed);
+                add(&self.core_stats[t.index()].remote_inv_received, 1);
+                self.mailboxes[t.index()].borrow_mut().push((page, span));
                 if R::ENABLED {
                     self.tracer.record(
                         t.0,
@@ -909,50 +716,25 @@ impl<R: Recorder> Vmm<R> {
         if let Some(req) = requester {
             if targets.contains(req) {
                 self.clocks[req.index()].advance(self.cfg.cost.tlb_invlpg);
-                self.mailboxes[req.index()].lock().push((page, span));
-                self.mailbox_flags[req.index()].store(true, Relaxed);
+                self.mailboxes[req.index()].borrow_mut().push((page, span));
             }
         }
     }
 
-    /// Acquires a free frame for `requester`, evicting under the policy
-    /// lock while the pool is dry. The policy lock is *not* held while
-    /// allocating, so concurrent fault handlers only serialize when
-    /// reclaim is actually needed.
+    /// Acquires a free frame for `requester`, evicting a victim when the
+    /// pool is dry. The victim's frame transfers to the requester
+    /// directly, skipping a free-list round trip through the pool.
     fn alloc_frame(&self, requester: CoreId) -> PhysFrame {
-        let mut dry_spins = 0u32;
-        loop {
-            if let Some(frame) = self.pool().alloc_for(requester.index()) {
-                return frame;
-            }
-            if let Some(frame) = self.try_evict_one(requester) {
-                // The victim's frame transfers to the requester directly,
-                // skipping a free-list round trip through the pool. Same
-                // frame either way: with the pool dry, a free would be
-                // the only frame the subsequent alloc could pop.
-                return frame;
-            }
-            // Pool dry but the policy tracks nothing: every frame is in
-            // flight on some other core between its `alloc` and its
-            // resident-map publish. Back off and retry; if this persists
-            // the device RAM is genuinely too small for the core count.
-            dry_spins += 1;
-            assert!(
-                dry_spins < ALLOC_RETRY_LIMIT,
-                "device RAM exhausted but policy tracks no blocks"
-            );
-            std::thread::yield_now();
-        }
+        self.pool()
+            .alloc()
+            .or_else(|| self.evict_one(requester))
+            .expect("device RAM exhausted but policy tracks no blocks")
     }
 
-    /// Evicts one victim block and hands its freed frame to the caller.
-    /// Returns `None` when the policy has nothing to offer (transiently
-    /// possible mid-race).
-    fn try_evict_one(&self, requester: CoreId) -> Option<PhysFrame> {
-        let mut policy = self.policy.lock();
-        // The victim decision must see every insert that already
-        // happened, so the buffers flush first.
-        self.flush_locked(&mut policy);
+    /// Evicts one victim block and returns its freed frame, or `None`
+    /// when the policy tracks no blocks.
+    fn evict_one(&self, requester: CoreId) -> Option<PhysFrame> {
+        let mut policy = self.policy.borrow_mut();
         let mut oracle = KernelOracle {
             vmm: self,
             requester: Some(requester),
@@ -969,25 +751,19 @@ impl<R: Recorder> Vmm<R> {
                 (count << 8) | group,
             );
         }
-        // Take the victim's stripe for the whole teardown and remove it
-        // from the resident map *first*: a concurrent minor fault on the
-        // victim must go down the major path rather than re-map a frame
-        // that is about to be recycled. (Lock order policy → stripe is
-        // safe: the fault path never waits for the policy while holding
-        // a stripe lock — events are buffered instead.)
-        let shard_idx = self.resident_shard_of(victim);
-        let mut shard = self.lock_resident_shard(requester, shard_idx);
-        let ent = shard
-            .map
-            .remove(&victim.0)
-            .expect("victim tracked in resident map");
-        // Only mutated under this stripe's lock (single writer at a
-        // time), so a load + store beats the atomic RMW.
-        let len = &self.resident_len[shard_idx];
-        len.store(len.load(Relaxed) - 1, Relaxed);
-        // Write-back debt only exists after a PSPT rebuild; the length
-        // check spares the common eviction a pointless hash probe.
-        let mut dirty = !shard.pending_dirty.is_empty() && shard.pending_dirty.remove(&victim.0);
+        self.note_residency_access(requester, victim);
+        let (ent, mut dirty) = {
+            let mut resident = self.resident.borrow_mut();
+            let ent = resident
+                .map
+                .remove(&victim.0)
+                .expect("victim tracked in resident map");
+            // Write-back debt only exists after a PSPT rebuild; the
+            // length check spares the common eviction a pointless probe.
+            let dirty =
+                !resident.pending_dirty.is_empty() && resident.pending_dirty.remove(&victim.0);
+            (ent, dirty)
+        };
         // A victim with no mappings is possible right after a PSPT
         // rebuild: resident, but every PTE already torn down.
         let out = with_scheme!(self, s => s.unmap_all(victim, self.cfg.block_size));
@@ -1017,9 +793,8 @@ impl<R: Recorder> Vmm<R> {
             );
         }
         self.numa_on_evict(requester, victim);
-        drop(shard);
         policy.on_evict(victim);
-        self.global.evictions.fetch_add(1, Relaxed);
+        add(&self.global.evictions, 1);
         Some(ent.frame)
     }
 
@@ -1036,7 +811,7 @@ impl<R: Recorder> Vmm<R> {
         }
         let clock = &self.clocks[core.index()];
         clock.advance(pen);
-        owner_add(&self.core_stats[core.index()].tier_penalty_cycles, pen);
+        add(&self.core_stats[core.index()].tier_penalty_cycles, pen);
         if R::ENABLED {
             self.tracer.record(
                 core.0,
@@ -1059,7 +834,7 @@ impl<R: Recorder> Vmm<R> {
         }
         let clock = &self.clocks[core.index()];
         clock.advance(cycles);
-        owner_add(&self.core_stats[core.index()].replica_sync_cycles, cycles);
+        add(&self.core_stats[core.index()].replica_sync_cycles, cycles);
         if R::ENABLED {
             self.tracer.record(
                 core.0,
@@ -1073,12 +848,11 @@ impl<R: Recorder> Vmm<R> {
 
     /// NUMA bookkeeping for a major fault: places `head` on a home node
     /// (spilling — one link crossing — when the faulting core's node is
-    /// full). Caller holds the block's stripe lock, so the books stay
-    /// consistent with the resident map. No-op on single-node runs.
+    /// full). No-op on single-node runs.
     fn numa_on_insert(&self, core: CoreId, head: VirtPage) {
         let Some(books) = &self.numa else { return };
         if let Some(home) = books.on_insert(core.index(), head) {
-            self.global.remote_spills.fetch_add(1, Relaxed);
+            add(&self.global.remote_spills, 1);
             let cost = books
                 .config
                 .cross_latency(books.node_of(core.index()) as usize, home as usize);
@@ -1090,8 +864,7 @@ impl<R: Recorder> Vmm<R> {
     /// on, first fault from a new node) or remote master walk
     /// (replication off, every remote fault), then the home-migration
     /// check against the block's current mapping-node histogram — the
-    /// CMCP map-count-weighted access center. Caller holds the block's
-    /// stripe lock. No-op on single-node runs.
+    /// CMCP map-count-weighted access center. No-op on single-node runs.
     fn numa_on_map(&self, core: CoreId, head: VirtPage) {
         let Some(books) = &self.numa else { return };
         let nodes = books.config.len();
@@ -1103,7 +876,7 @@ impl<R: Recorder> Vmm<R> {
         let d = books.on_map(core.index(), head, &counts[..nodes]);
         if let Some(home) = d.sync_with {
             if d.counted_sync {
-                self.global.replica_syncs.fetch_add(1, Relaxed);
+                add(&self.global.replica_syncs, 1);
             }
             let cost = books
                 .config
@@ -1111,14 +884,14 @@ impl<R: Recorder> Vmm<R> {
             self.charge_replica(core, cost, 0, home);
         }
         if let Some((from, to)) = d.migrate {
-            self.global.page_migrations.fetch_add(1, Relaxed);
+            add(&self.global.page_migrations, 1);
             let pen = books
                 .config
                 .xfer_penalty(from as usize, to as usize, self.block_bytes());
             if pen > 0 {
                 let clock = &self.clocks[core.index()];
                 clock.advance(pen);
-                owner_add(&self.core_stats[core.index()].migration_cycles, pen);
+                add(&self.core_stats[core.index()].migration_cycles, pen);
                 if R::ENABLED {
                     self.tracer.record(
                         core.0,
@@ -1142,8 +915,8 @@ impl<R: Recorder> Vmm<R> {
     /// cycles. With replication *off* there is nothing on the remote
     /// nodes for a handler to clear; the evictor itself must write the
     /// single master table before handing the frame out, and when the
-    /// home is remote that is one synchronous link crossing. Caller
-    /// holds the victim's stripe lock. No-op on single-node runs.
+    /// home is remote that is one synchronous link crossing. No-op on
+    /// single-node runs.
     fn numa_on_evict(&self, requester: CoreId, victim: VirtPage) {
         let Some(books) = &self.numa else { return };
         let Some(ent) = books.on_evict(victim) else {
@@ -1152,11 +925,9 @@ impl<R: Recorder> Vmm<R> {
         let req_node = books.node_of(requester.index());
         if books.config.replicate {
             let dropped = u64::from(ent.mask.count_ones());
-            self.global
-                .replica_invalidations
-                .fetch_add(dropped, Relaxed);
+            add(&self.global.replica_invalidations, dropped);
         } else if ent.home != req_node {
-            self.global.replica_invalidations.fetch_add(1, Relaxed);
+            add(&self.global.replica_invalidations, 1);
             let cost = books
                 .config
                 .cross_latency(req_node as usize, ent.home as usize);
@@ -1198,7 +969,7 @@ impl<R: Recorder> Vmm<R> {
             );
             let wait = c.reservation.end.saturating_sub(clock.now());
             clock.advance(wait);
-            owner_add(&st.dma_wait_cycles, wait);
+            add(&st.dma_wait_cycles, wait);
             if R::ENABLED {
                 self.tracer.record(
                     requester.0,
@@ -1209,13 +980,13 @@ impl<R: Recorder> Vmm<R> {
                 );
             }
             if c.spike_cycles > 0 {
-                self.global.latency_spikes.fetch_add(1, Relaxed);
+                add(&self.global.latency_spikes, 1);
                 self.note_injected(requester, FaultSite::DmaLatency, attempt as u64);
             }
             if !c.failed {
                 break;
             }
-            self.global.dma_errors.fetch_add(1, Relaxed);
+            add(&self.global.dma_errors, 1);
             self.note_injected(requester, FaultSite::DmaOut, attempt as u64);
             self.charge_backoff(requester, attempt, FaultSite::DmaOut);
             attempt += 1;
@@ -1230,11 +1001,11 @@ impl<R: Recorder> Vmm<R> {
             if out.stored {
                 self.charge_tier_penalty(requester, out.tier, bytes);
                 if out.demoted > 0 {
-                    self.global.tier_demotions.fetch_add(out.demoted, Relaxed);
+                    add(&self.global.tier_demotions, out.demoted);
                 }
                 break;
             }
-            self.global.enospc_events.fetch_add(1, Relaxed);
+            add(&self.global.enospc_events, 1);
             self.note_injected(requester, FaultSite::Backing, store_attempt as u64);
             self.charge_backoff(requester, store_attempt, FaultSite::Backing);
             store_attempt += 1;
@@ -1243,10 +1014,10 @@ impl<R: Recorder> Vmm<R> {
                 "{MAX_RECOVERY_ATTEMPTS} consecutive ENOSPC failures storing {victim}"
             );
         }
-        if attempt > 0 || store_attempt > 0 || self.offload_dead.load(Relaxed) {
-            self.global.sync_writebacks.fetch_add(1, Relaxed);
+        if attempt > 0 || store_attempt > 0 || self.offload_dead.get() {
+            add(&self.global.sync_writebacks, 1);
         }
-        self.global.writebacks.fetch_add(1, Relaxed);
+        add(&self.global.writebacks, 1);
     }
 
     /// Handles a page fault raised by `core` on the 4 kB page `page`.
@@ -1257,7 +1028,7 @@ impl<R: Recorder> Vmm<R> {
         let head = self.block_of(page);
         let clock = &self.clocks[core.index()];
         let st = &self.core_stats[core.index()];
-        owner_add(&st.page_faults, 1);
+        add(&st.page_faults, 1);
         let t0 = clock.now();
         if R::ENABLED {
             self.tracer
@@ -1267,12 +1038,13 @@ impl<R: Recorder> Vmm<R> {
 
         // Page-table lock (virtual-time serialization). The queue bound
         // is the genuine worst case — every core convoying on one lock —
-        // with headroom; it only binds against parallel-engine clock skew.
+        // with headroom; it binds only on an arrival that is out of
+        // virtual-time order (see `VirtualResource::acquire_bounded`).
         let (lock, hold) = self.lock_for(head);
         let t_req = clock.now();
         let res = lock.acquire_bounded(t_req, hold, 4 * self.cfg.cores as u64 * hold);
         if res.queue_delay > 0 {
-            owner_add(&st.lock_wait_cycles, res.queue_delay);
+            add(&st.lock_wait_cycles, res.queue_delay);
         }
         clock.advance_to(res.end);
         if R::ENABLED {
@@ -1282,175 +1054,41 @@ impl<R: Recorder> Vmm<R> {
                 .record(core.0, res.end, EventKind::LockRelease, head.0, 0);
         }
 
-        // Residency transitions serialize on the block's stripe lock;
-        // policy notifications are deferred into the per-core batch
-        // buffer and applied under one policy-lock acquisition per
-        // `POLICY_BATCH` events.
-        let shard_idx = self.resident_shard_of(head);
-        let kind = 'fault: loop {
-            let mut shard = self.lock_resident_shard(core, shard_idx);
-            if let Some(ent) = shard.map.get(&head.0).copied() {
-                // Resident: PSPT minor fault (copy a sibling's PTE).
-                match with_scheme!(self, s => s.map(core, head, ent.frame, self.cfg.block_size, true))
-                {
-                    Ok(MapOutcome::Copied { probes, map_count }) => {
-                        clock.advance(
-                            self.cfg.cost.pspt_probe * probes as u64
-                                + self.cfg.cost.pte_update * self.subentries(),
-                        );
-                        // The new core-map count rides in the outcome
-                        // (read from the directory entry `map` already
-                        // locked), so the minor path never takes the
-                        // directory lock a second time.
-                        self.push_policy_event(
-                            core,
-                            PolicyEvent::MapCount {
-                                block: head,
-                                map_count,
-                            },
-                        );
-                        self.numa_on_map(core, head);
-                        break FaultKind::MinorCopy;
-                    }
-                    Ok(MapOutcome::Fresh) => {
-                        // Resident but unmapped everywhere: the PTEs were
-                        // torn down by a PSPT rebuild; re-establish this
-                        // core's mapping (the frame never moved).
-                        clock.advance(self.cfg.cost.pte_update * self.subentries());
-                        self.push_policy_event(
-                            core,
-                            PolicyEvent::MapCount {
-                                block: head,
-                                map_count: 1,
-                            },
-                        );
-                        self.numa_on_map(core, head);
-                        break FaultKind::MinorCopy;
-                    }
-                    Err(_) => break FaultKind::Spurious,
-                }
-            }
-            // Not resident: allocate (evicting when dry) with the stripe
-            // lock released, then re-check — another core may have
-            // faulted the same block in meanwhile.
-            drop(shard);
-            let mut frame = self.alloc_frame(core);
-            shard = self.lock_resident_shard(core, shard_idx);
-            if shard.map.contains_key(&head.0) {
-                // Lost the race: hand the frame back and retry as minor.
-                drop(shard);
-                self.pool().free_for(frame, core.index());
-                continue 'fault;
-            }
-            let block_pages = self.cfg.block_size.pages_4k() as u64;
-            if let Some(tin) = self.backing.load(head, block_pages) {
-                // Real content on the host: DMA it in, riding out
-                // injected transfer errors. A failed attempt may have
-                // torn a partial block into the frame, so the frame is
-                // quarantined (while the pool has headroom) and the
-                // retry lands in a fresh one; when frames are scarce the
-                // same frame is reused — the retried DMA overwrites the
-                // torn data in full.
-                let inj = self.injector.as_ref();
-                let mut attempt = 0u32;
-                loop {
-                    let c = self.dma.transfer_checked_tiered(
-                        clock.now(),
-                        self.block_bytes(),
-                        DmaDirection::HostToDevice,
-                        inj,
-                        &self.tracer,
-                        core.0,
-                        tin.tier,
+        self.note_residency_access(core, head);
+        let resident = self.resident.borrow().map.get(&head.0).copied();
+        let kind = if let Some(ent) = resident {
+            // Resident: PSPT minor fault (copy a sibling's PTE).
+            match with_scheme!(self, s => s.map(core, head, ent.frame, self.cfg.block_size, true)) {
+                Ok(MapOutcome::Copied { probes, map_count }) => {
+                    clock.advance(
+                        self.cfg.cost.pspt_probe * probes as u64
+                            + self.cfg.cost.pte_update * self.subentries(),
                     );
-                    let wait = c.reservation.end.saturating_sub(clock.now());
-                    clock.advance(wait);
-                    owner_add(&st.dma_wait_cycles, wait);
-                    if R::ENABLED {
-                        self.tracer.record(
-                            core.0,
-                            clock.now(),
-                            EventKind::DmaComplete,
-                            wait,
-                            DmaDirection::HostToDevice.code(),
-                        );
-                    }
-                    if c.spike_cycles > 0 {
-                        self.global.latency_spikes.fetch_add(1, Relaxed);
-                        self.note_injected(core, FaultSite::DmaLatency, attempt as u64);
-                    }
-                    if !c.failed {
-                        break;
-                    }
-                    self.global.dma_errors.fetch_add(1, Relaxed);
-                    self.note_injected(core, FaultSite::DmaIn, attempt as u64);
-                    self.charge_backoff(core, attempt, FaultSite::DmaIn);
-                    attempt += 1;
-                    assert!(
-                        attempt < MAX_RECOVERY_ATTEMPTS,
-                        "{MAX_RECOVERY_ATTEMPTS} consecutive page-in DMA errors on {head}"
-                    );
-                    if self.pool().usable_blocks() > self.cfg.cores {
-                        // Quarantine the poisoned frame and retry into a
-                        // fresh one. Allocation may need to evict, which
-                        // takes the policy lock and a victim stripe —
-                        // never while holding this block's stripe.
-                        drop(shard);
-                        self.pool().quarantine(frame);
-                        owner_add(&st.quarantines, 1);
-                        self.global.quarantined_frames.fetch_add(1, Relaxed);
-                        if R::ENABLED {
-                            self.tracer.record(
-                                core.0,
-                                clock.now(),
-                                EventKind::Quarantine,
-                                frame.0 as u64,
-                                head.0,
-                            );
-                        }
-                        frame = self.alloc_frame(core);
-                        shard = self.lock_resident_shard(core, shard_idx);
-                        if shard.map.contains_key(&head.0) {
-                            // Another core faulted the block in while the
-                            // stripe was unlocked: retry as minor.
-                            drop(shard);
-                            self.pool().free_for(frame, core.index());
-                            continue 'fault;
-                        }
-                    }
+                    // The new core-map count rides in the outcome (read
+                    // from the directory entry `map` already touched).
+                    self.policy
+                        .borrow_mut()
+                        .on_map_count_change(head, map_count);
+                    self.numa_on_map(core, head);
+                    FaultKind::MinorCopy
                 }
-                self.charge_tier_penalty(core, tin.tier, self.block_bytes());
-                if tin.promoted > 0 {
-                    self.global.tier_promotions.fetch_add(tin.promoted, Relaxed);
+                Ok(MapOutcome::Fresh) => {
+                    // Resident but unmapped everywhere: the PTEs were torn
+                    // down by a PSPT rebuild; re-establish this core's
+                    // mapping (the frame never moved).
+                    clock.advance(self.cfg.cost.pte_update * self.subentries());
+                    self.policy.borrow_mut().on_map_count_change(head, 1);
+                    self.numa_on_map(core, head);
+                    FaultKind::MinorCopy
                 }
-                self.global.refaults.fetch_add(1, Relaxed);
+                Err(_) => FaultKind::Spurious,
             }
-            with_scheme!(self, s => s.map(core, head, frame, self.cfg.block_size, true))
-                .expect("fresh block maps cleanly");
-            clock.advance(self.cfg.cost.pte_update * self.subentries());
-            shard.map.insert(
-                head.0,
-                Resident {
-                    frame,
-                    size: self.cfg.block_size,
-                },
-            );
-            // Mutated under the stripe lock only — see the eviction path.
-            let len = &self.resident_len[shard_idx];
-            len.store(len.load(Relaxed) + 1, Relaxed);
-            self.numa_on_insert(core, head);
-            self.push_policy_event(
-                core,
-                PolicyEvent::Insert {
-                    block: head,
-                    map_count: 1,
-                },
-            );
-            break FaultKind::Major;
+        } else {
+            self.major_fault(core, head);
+            FaultKind::Major
         };
-        self.maybe_flush(core);
         let spent = clock.now() - t0;
-        owner_add(&st.fault_cycles, spent);
+        add(&st.fault_cycles, spent);
         if R::ENABLED {
             let resolution = match kind {
                 FaultKind::Major => 0,
@@ -1461,6 +1099,100 @@ impl<R: Recorder> Vmm<R> {
                 .record(core.0, clock.now(), EventKind::FaultEnd, resolution, spent);
         }
         kind
+    }
+
+    /// The major path of [`Vmm::handle_fault`]: allocates a frame
+    /// (evicting when the pool is dry), pages the block in if the host
+    /// holds a copy, and maps it for `core`.
+    fn major_fault(&self, core: CoreId, head: VirtPage) {
+        let clock = &self.clocks[core.index()];
+        let st = &self.core_stats[core.index()];
+        let mut frame = self.alloc_frame(core);
+        self.note_residency_access(core, head);
+        let block_pages = self.cfg.block_size.pages_4k() as u64;
+        if let Some(tin) = self.backing.load(head, block_pages) {
+            // Real content on the host: DMA it in, riding out injected
+            // transfer errors. A failed attempt may have torn a partial
+            // block into the frame, so the frame is quarantined (while
+            // the pool has headroom) and the retry lands in a fresh one;
+            // when frames are scarce the same frame is reused — the
+            // retried DMA overwrites the torn data in full.
+            let inj = self.injector.as_ref();
+            let mut attempt = 0u32;
+            loop {
+                let c = self.dma.transfer_checked_tiered(
+                    clock.now(),
+                    self.block_bytes(),
+                    DmaDirection::HostToDevice,
+                    inj,
+                    &self.tracer,
+                    core.0,
+                    tin.tier,
+                );
+                let wait = c.reservation.end.saturating_sub(clock.now());
+                clock.advance(wait);
+                add(&st.dma_wait_cycles, wait);
+                if R::ENABLED {
+                    self.tracer.record(
+                        core.0,
+                        clock.now(),
+                        EventKind::DmaComplete,
+                        wait,
+                        DmaDirection::HostToDevice.code(),
+                    );
+                }
+                if c.spike_cycles > 0 {
+                    add(&self.global.latency_spikes, 1);
+                    self.note_injected(core, FaultSite::DmaLatency, attempt as u64);
+                }
+                if !c.failed {
+                    break;
+                }
+                add(&self.global.dma_errors, 1);
+                self.note_injected(core, FaultSite::DmaIn, attempt as u64);
+                self.charge_backoff(core, attempt, FaultSite::DmaIn);
+                attempt += 1;
+                assert!(
+                    attempt < MAX_RECOVERY_ATTEMPTS,
+                    "{MAX_RECOVERY_ATTEMPTS} consecutive page-in DMA errors on {head}"
+                );
+                if self.pool().usable_blocks() > self.cfg.cores {
+                    // Quarantine the poisoned frame and retry into a
+                    // fresh one (allocation may evict).
+                    self.pool().quarantine(frame);
+                    add(&st.quarantines, 1);
+                    add(&self.global.quarantined_frames, 1);
+                    if R::ENABLED {
+                        self.tracer.record(
+                            core.0,
+                            clock.now(),
+                            EventKind::Quarantine,
+                            frame.0 as u64,
+                            head.0,
+                        );
+                    }
+                    frame = self.alloc_frame(core);
+                    self.note_residency_access(core, head);
+                }
+            }
+            self.charge_tier_penalty(core, tin.tier, self.block_bytes());
+            if tin.promoted > 0 {
+                add(&self.global.tier_promotions, tin.promoted);
+            }
+            add(&self.global.refaults, 1);
+        }
+        with_scheme!(self, s => s.map(core, head, frame, self.cfg.block_size, true))
+            .expect("fresh block maps cleanly");
+        clock.advance(self.cfg.cost.pte_update * self.subentries());
+        self.resident.borrow_mut().map.insert(
+            head.0,
+            Resident {
+                frame,
+                size: self.cfg.block_size,
+            },
+        );
+        self.numa_on_insert(core, head);
+        self.policy.borrow_mut().on_insert(head, 1);
     }
 
     /// Pressure controller: the mapping granularity for the next fresh
@@ -1481,12 +1213,11 @@ impl<R: Recorder> Vmm<R> {
     }
 
     /// The resident entry covering `page` at any granularity, with its
-    /// head. Caller holds the stripe lock of `page`'s 2 MB region (all
-    /// candidate heads share it — adaptive stripes hash the region head).
-    fn covering_entry(shard: &ResidentShard, page: VirtPage) -> Option<(VirtPage, Resident)> {
+    /// head.
+    fn covering_entry(resident: &Residency, page: VirtPage) -> Option<(VirtPage, Resident)> {
         PageSize::ALL.iter().find_map(|&s| {
             let head = page.align_down(s);
-            shard
+            resident
                 .map
                 .get(&head.0)
                 .filter(|ent| ent.size == s)
@@ -1500,20 +1231,14 @@ impl<R: Recorder> Vmm<R> {
     /// frame handoff — buddy coalescing decides what the freed pages can
     /// satisfy.
     fn alloc_block_adaptive(&self, requester: CoreId, size: PageSize) -> PhysFrame {
-        let mut dry_spins = 0u32;
         loop {
             if let Some(frame) = self.buddy().alloc(size) {
                 return frame;
             }
-            if self.try_evict_one_adaptive(requester, size) {
-                continue;
-            }
-            dry_spins += 1;
             assert!(
-                dry_spins < ALLOC_RETRY_LIMIT,
+                self.evict_one_adaptive(requester, size),
                 "device RAM exhausted but policy tracks no blocks"
             );
-            std::thread::yield_now();
         }
     }
 
@@ -1528,11 +1253,8 @@ impl<R: Recorder> Vmm<R> {
     /// parent's map count. Only blocks already at (or below) the wanted
     /// size are actually evicted, so high pressure sheds small amounts
     /// of data at a time.
-    fn try_evict_one_adaptive(&self, requester: CoreId, want: PageSize) -> bool {
-        let mut policy = self.policy.lock();
-        // The victim decision must see every insert that already
-        // happened, so the buffers flush first.
-        self.flush_locked(&mut policy);
+    fn evict_one_adaptive(&self, requester: CoreId, want: PageSize) -> bool {
+        let mut policy = self.policy.borrow_mut();
         let clock = &self.clocks[requester.index()];
         loop {
             let mut oracle = KernelOracle {
@@ -1554,9 +1276,9 @@ impl<R: Recorder> Vmm<R> {
                 );
             }
             let m2 = victim.align_down(PageSize::M2);
-            let shard_idx = self.resident_shard_of(m2);
-            let mut shard = self.lock_resident_shard(requester, shard_idx);
-            let ent = shard
+            self.note_residency_access(requester, m2);
+            let mut resident = self.resident.borrow_mut();
+            let ent = resident
                 .map
                 .get(&victim.0)
                 .copied()
@@ -1575,11 +1297,11 @@ impl<R: Recorder> Vmm<R> {
                     });
                 let cspan = child.pages_4k() as u64;
                 let children = ent.size.pages_4k() / child.pages_4k();
-                shard.map.remove(&victim.0);
-                let owed = shard.pending_dirty.remove(&victim.0);
+                resident.map.remove(&victim.0);
+                let owed = resident.pending_dirty.remove(&victim.0);
                 for k in 0..children as u64 {
                     let chead = VirtPage(victim.0 + k * cspan);
-                    shard.map.insert(
+                    resident.map.insert(
                         chead.0,
                         Resident {
                             frame: ent.frame.add((k * cspan) as u32),
@@ -1589,22 +1311,19 @@ impl<R: Recorder> Vmm<R> {
                     if owed {
                         // The parent's write-back debt covers every byte;
                         // each child now owes its share.
-                        shard.pending_dirty.insert(chead.0);
+                        resident.pending_dirty.insert(chead.0);
                     }
                 }
-                let len = &self.resident_len[shard_idx];
-                len.store(len.load(Relaxed) + children - 1, Relaxed);
-                let r = shard.regions.entry(m2.0).or_insert((ent.size, 1));
+                let r = resident.regions.entry(m2.0).or_insert((ent.size, 1));
                 r.0 = child;
                 r.1 += children as u32 - 1;
-                drop(shard);
+                drop(resident);
                 // One PTE rewrite per new head (the radix rewrite touched
                 // every sub-entry, but those writes displace the unmap +
                 // remap a whole-block eviction would have cost).
                 clock.advance(self.cfg.cost.pte_update * children as u64);
-                self.global.block_splits.fetch_add(1, Relaxed);
-                // Under the held policy lock (buffers already flushed):
-                // the parent leaves, the children enter with its count.
+                add(&self.global.block_splits, 1);
+                // The parent leaves, the children enter with its count.
                 policy.on_evict(victim);
                 for k in 0..children as u64 {
                     policy.on_insert(VirtPage(victim.0 + k * cspan), mc);
@@ -1612,10 +1331,8 @@ impl<R: Recorder> Vmm<R> {
                 continue;
             }
             // Victim is at (or below) the wanted granularity: evict it.
-            shard.map.remove(&victim.0);
-            let len = &self.resident_len[shard_idx];
-            len.store(len.load(Relaxed) - 1, Relaxed);
-            let region_empty = if let Some(r) = shard.regions.get_mut(&m2.0) {
+            resident.map.remove(&victim.0);
+            let region_empty = if let Some(r) = resident.regions.get_mut(&m2.0) {
                 r.1 -= 1;
                 r.1 == 0
             } else {
@@ -1624,10 +1341,11 @@ impl<R: Recorder> Vmm<R> {
             if region_empty {
                 // The next fault in this region re-consults the pressure
                 // controller from scratch.
-                shard.regions.remove(&m2.0);
+                resident.regions.remove(&m2.0);
             }
             let mut dirty =
-                !shard.pending_dirty.is_empty() && shard.pending_dirty.remove(&victim.0);
+                !resident.pending_dirty.is_empty() && resident.pending_dirty.remove(&victim.0);
+            drop(resident);
             let out = with_scheme!(self, s => s.unmap_all(victim, ent.size));
             let mut map_count = 0u32;
             if let Some(out) = &out {
@@ -1645,10 +1363,9 @@ impl<R: Recorder> Vmm<R> {
                 let rank = self.cfg.tiers().demotion_rank(map_count);
                 self.write_back(requester, victim, ent.size.pages_4k() as u64, rank);
             }
-            drop(shard);
             self.buddy().free(ent.frame, ent.size);
             policy.on_evict(victim);
-            self.global.evictions.fetch_add(1, Relaxed);
+            add(&self.global.evictions, 1);
             return true;
         }
     }
@@ -1661,7 +1378,7 @@ impl<R: Recorder> Vmm<R> {
         let m2 = page.align_down(PageSize::M2);
         let clock = &self.clocks[core.index()];
         let st = &self.core_stats[core.index()];
-        owner_add(&st.page_faults, 1);
+        add(&st.page_faults, 1);
         let t0 = clock.now();
         if R::ENABLED {
             self.tracer
@@ -1675,7 +1392,7 @@ impl<R: Recorder> Vmm<R> {
         let t_req = clock.now();
         let res = lock.acquire_bounded(t_req, hold, 4 * self.cfg.cores as u64 * hold);
         if res.queue_delay > 0 {
-            owner_add(&st.lock_wait_cycles, res.queue_delay);
+            add(&st.lock_wait_cycles, res.queue_delay);
         }
         clock.advance_to(res.end);
         if R::ENABLED {
@@ -1685,154 +1402,41 @@ impl<R: Recorder> Vmm<R> {
                 .record(core.0, res.end, EventKind::LockRelease, m2.0, 0);
         }
 
-        let shard_idx = self.resident_shard_of(m2);
-        let kind = 'fault: loop {
-            let mut shard = self.lock_resident_shard(core, shard_idx);
-            if let Some((head, ent)) = Self::covering_entry(&shard, page) {
-                // Resident at some granularity: PSPT minor fault.
-                match with_scheme!(self, s => s.map(core, head, ent.frame, ent.size, true)) {
-                    Ok(MapOutcome::Copied { probes, map_count }) => {
-                        clock.advance(
-                            self.cfg.cost.pspt_probe * probes as u64
-                                + self.cfg.cost.pte_update * Self::subentries_of(ent.size),
-                        );
-                        self.push_policy_event(
-                            core,
-                            PolicyEvent::MapCount {
-                                block: head,
-                                map_count,
-                            },
-                        );
-                        break FaultKind::MinorCopy;
-                    }
-                    Ok(MapOutcome::Fresh) => {
-                        clock.advance(self.cfg.cost.pte_update * Self::subentries_of(ent.size));
-                        self.push_policy_event(
-                            core,
-                            PolicyEvent::MapCount {
-                                block: head,
-                                map_count: 1,
-                            },
-                        );
-                        break FaultKind::MinorCopy;
-                    }
-                    Err(_) => break FaultKind::Spurious,
-                }
-            }
-            // Not resident: pick the region's granularity (the pressure
-            // controller decides for a fresh region) and allocate with
-            // the stripe released.
-            let size = shard
-                .regions
-                .get(&m2.0)
-                .map(|r| r.0)
-                .unwrap_or_else(|| self.adaptive_target());
-            let head = page.align_down(size);
-            drop(shard);
-            let mut frame = self.alloc_block_adaptive(core, size);
-            shard = self.lock_resident_shard(core, shard_idx);
-            // Re-check both races: the block may have been faulted in by
-            // another core, and the region's granularity may have been
-            // lowered by a split while the stripe was unlocked.
-            if Self::covering_entry(&shard, page).is_some()
-                || shard.regions.get(&m2.0).map(|r| r.0).unwrap_or(size) != size
-            {
-                drop(shard);
-                self.buddy().free(frame, size);
-                continue 'fault;
-            }
-            if let Some(tin) = self.backing.load(head, size.pages_4k() as u64) {
-                let inj = self.injector.as_ref();
-                let mut attempt = 0u32;
-                loop {
-                    let c = self.dma.transfer_checked_tiered(
-                        clock.now(),
-                        size.bytes(),
-                        DmaDirection::HostToDevice,
-                        inj,
-                        &self.tracer,
-                        core.0,
-                        tin.tier,
-                    );
-                    let wait = c.reservation.end.saturating_sub(clock.now());
-                    clock.advance(wait);
-                    owner_add(&st.dma_wait_cycles, wait);
-                    if R::ENABLED {
-                        self.tracer.record(
-                            core.0,
-                            clock.now(),
-                            EventKind::DmaComplete,
-                            wait,
-                            DmaDirection::HostToDevice.code(),
-                        );
-                    }
-                    if c.spike_cycles > 0 {
-                        self.global.latency_spikes.fetch_add(1, Relaxed);
-                        self.note_injected(core, FaultSite::DmaLatency, attempt as u64);
-                    }
-                    if !c.failed {
-                        break;
-                    }
-                    self.global.dma_errors.fetch_add(1, Relaxed);
-                    self.note_injected(core, FaultSite::DmaIn, attempt as u64);
-                    self.charge_backoff(core, attempt, FaultSite::DmaIn);
-                    attempt += 1;
-                    assert!(
-                        attempt < MAX_RECOVERY_ATTEMPTS,
-                        "{MAX_RECOVERY_ATTEMPTS} consecutive page-in DMA errors on {head}"
-                    );
-                    if self.buddy().usable_pages() > (self.cfg.cores * size.pages_4k()) as u64 {
-                        // Quarantine the poisoned block and retry into a
-                        // fresh one (see the fixed-size path).
-                        drop(shard);
-                        self.buddy().quarantine(frame, size);
-                        owner_add(&st.quarantines, 1);
-                        self.global.quarantined_frames.fetch_add(1, Relaxed);
-                        if R::ENABLED {
-                            self.tracer.record(
-                                core.0,
-                                clock.now(),
-                                EventKind::Quarantine,
-                                frame.0 as u64,
-                                head.0,
-                            );
-                        }
-                        frame = self.alloc_block_adaptive(core, size);
-                        shard = self.lock_resident_shard(core, shard_idx);
-                        if Self::covering_entry(&shard, page).is_some()
-                            || shard.regions.get(&m2.0).map(|r| r.0).unwrap_or(size) != size
-                        {
-                            drop(shard);
-                            self.buddy().free(frame, size);
-                            continue 'fault;
-                        }
-                    }
-                }
-                self.charge_tier_penalty(core, tin.tier, size.bytes());
-                if tin.promoted > 0 {
-                    self.global.tier_promotions.fetch_add(tin.promoted, Relaxed);
-                }
-                self.global.refaults.fetch_add(1, Relaxed);
-            }
-            with_scheme!(self, s => s.map(core, head, frame, size, true))
-                .expect("fresh block maps cleanly");
-            clock.advance(self.cfg.cost.pte_update * Self::subentries_of(size));
-            shard.map.insert(head.0, Resident { frame, size });
-            let len = &self.resident_len[shard_idx];
-            len.store(len.load(Relaxed) + 1, Relaxed);
-            shard.regions.entry(m2.0).or_insert((size, 0)).1 += 1;
-            self.push_policy_event(
-                core,
-                PolicyEvent::Insert {
-                    block: head,
-                    map_count: 1,
-                },
-            );
-            break FaultKind::Major;
+        self.note_residency_access(core, m2);
+        let (covering, region_size) = {
+            let resident = self.resident.borrow();
+            let region_size = resident.regions.get(&m2.0).map(|r| r.0);
+            (Self::covering_entry(&resident, page), region_size)
         };
-        self.maybe_flush(core);
+        let kind = if let Some((head, ent)) = covering {
+            // Resident at some granularity: PSPT minor fault.
+            match with_scheme!(self, s => s.map(core, head, ent.frame, ent.size, true)) {
+                Ok(MapOutcome::Copied { probes, map_count }) => {
+                    clock.advance(
+                        self.cfg.cost.pspt_probe * probes as u64
+                            + self.cfg.cost.pte_update * Self::subentries_of(ent.size),
+                    );
+                    self.policy
+                        .borrow_mut()
+                        .on_map_count_change(head, map_count);
+                    FaultKind::MinorCopy
+                }
+                Ok(MapOutcome::Fresh) => {
+                    clock.advance(self.cfg.cost.pte_update * Self::subentries_of(ent.size));
+                    self.policy.borrow_mut().on_map_count_change(head, 1);
+                    FaultKind::MinorCopy
+                }
+                Err(_) => FaultKind::Spurious,
+            }
+        } else {
+            // Not resident: the region's granularity (the pressure
+            // controller decides for a fresh region) sets the block.
+            let size = region_size.unwrap_or_else(|| self.adaptive_target());
+            self.major_fault_adaptive(core, page, size);
+            FaultKind::Major
+        };
         let spent = clock.now() - t0;
-        owner_add(&st.fault_cycles, spent);
+        add(&st.fault_cycles, spent);
         if R::ENABLED {
             let resolution = match kind {
                 FaultKind::Major => 0,
@@ -1845,15 +1449,97 @@ impl<R: Recorder> Vmm<R> {
         kind
     }
 
+    /// The major path of [`Vmm::handle_fault_adaptive`]: like
+    /// [`Vmm::major_fault`], for a `size` block of `page`'s region.
+    fn major_fault_adaptive(&self, core: CoreId, page: VirtPage, size: PageSize) {
+        let m2 = page.align_down(PageSize::M2);
+        let head = page.align_down(size);
+        let clock = &self.clocks[core.index()];
+        let st = &self.core_stats[core.index()];
+        let mut frame = self.alloc_block_adaptive(core, size);
+        self.note_residency_access(core, m2);
+        if let Some(tin) = self.backing.load(head, size.pages_4k() as u64) {
+            let inj = self.injector.as_ref();
+            let mut attempt = 0u32;
+            loop {
+                let c = self.dma.transfer_checked_tiered(
+                    clock.now(),
+                    size.bytes(),
+                    DmaDirection::HostToDevice,
+                    inj,
+                    &self.tracer,
+                    core.0,
+                    tin.tier,
+                );
+                let wait = c.reservation.end.saturating_sub(clock.now());
+                clock.advance(wait);
+                add(&st.dma_wait_cycles, wait);
+                if R::ENABLED {
+                    self.tracer.record(
+                        core.0,
+                        clock.now(),
+                        EventKind::DmaComplete,
+                        wait,
+                        DmaDirection::HostToDevice.code(),
+                    );
+                }
+                if c.spike_cycles > 0 {
+                    add(&self.global.latency_spikes, 1);
+                    self.note_injected(core, FaultSite::DmaLatency, attempt as u64);
+                }
+                if !c.failed {
+                    break;
+                }
+                add(&self.global.dma_errors, 1);
+                self.note_injected(core, FaultSite::DmaIn, attempt as u64);
+                self.charge_backoff(core, attempt, FaultSite::DmaIn);
+                attempt += 1;
+                assert!(
+                    attempt < MAX_RECOVERY_ATTEMPTS,
+                    "{MAX_RECOVERY_ATTEMPTS} consecutive page-in DMA errors on {head}"
+                );
+                if self.buddy().usable_pages() > (self.cfg.cores * size.pages_4k()) as u64 {
+                    // Quarantine the poisoned block and retry into a
+                    // fresh one (see the fixed-size path).
+                    self.buddy().quarantine(frame, size);
+                    add(&st.quarantines, 1);
+                    add(&self.global.quarantined_frames, 1);
+                    if R::ENABLED {
+                        self.tracer.record(
+                            core.0,
+                            clock.now(),
+                            EventKind::Quarantine,
+                            frame.0 as u64,
+                            head.0,
+                        );
+                    }
+                    frame = self.alloc_block_adaptive(core, size);
+                    self.note_residency_access(core, m2);
+                }
+            }
+            self.charge_tier_penalty(core, tin.tier, size.bytes());
+            if tin.promoted > 0 {
+                add(&self.global.tier_promotions, tin.promoted);
+            }
+            add(&self.global.refaults, 1);
+        }
+        with_scheme!(self, s => s.map(core, head, frame, size, true))
+            .expect("fresh block maps cleanly");
+        clock.advance(self.cfg.cost.pte_update * Self::subentries_of(size));
+        let mut resident = self.resident.borrow_mut();
+        resident.map.insert(head.0, Resident { frame, size });
+        resident.regions.entry(m2.0).or_insert((size, 0)).1 += 1;
+        drop(resident);
+        self.policy.borrow_mut().on_insert(head, 1);
+    }
+
     /// One statistics-scan timer tick (every `scan_period` cycles of
     /// virtual time, run by dedicated hyperthreads in the paper's setup).
     pub fn scan_tick(&self) {
-        let mut policy = self.policy.lock();
+        let mut policy = self.policy.borrow_mut();
         if !policy.wants_periodic_scan() {
             return;
         }
-        // The scan must see every insert that already happened.
-        self.flush_locked(&mut policy);
         let budget = if self.cfg.scan_budget > 0 {
             self.cfg.scan_budget
         } else {
@@ -1864,7 +1550,7 @@ impl<R: Recorder> Vmm<R> {
             requester: None,
         };
         policy.scan_tick(budget, &mut oracle);
-        self.global.scan_ticks.fetch_add(1, Relaxed);
+        add(&self.global.scan_ticks, 1);
     }
 }
 
@@ -1880,14 +1566,11 @@ struct KernelOracle<'a, R: Recorder> {
 impl<R: Recorder> AccessBitOracle for KernelOracle<'_, R> {
     fn test_and_clear(&mut self, block: VirtPage) -> bool {
         // Adaptive mode: the policy tracks mixed-size blocks, so look up
-        // the victim candidate's actual granularity. Safe to take the
-        // stripe here — the oracle is only consulted with no stripe lock
-        // held (victim selection precedes the stripe acquisition, and
-        // the scan timer holds none).
+        // the victim candidate's actual granularity.
         let size = if self.vmm.cfg.adaptive {
-            let m2 = block.align_down(PageSize::M2);
-            let shard = self.vmm.resident[self.vmm.resident_shard_of(m2)].lock();
-            shard
+            self.vmm
+                .resident
+                .borrow()
                 .map
                 .get(&block.0)
                 .map(|ent| ent.size)
@@ -1896,10 +1579,7 @@ impl<R: Recorder> AccessBitOracle for KernelOracle<'_, R> {
             self.vmm.cfg.block_size
         };
         let scan = with_scheme!(self.vmm, s => s.test_and_clear_accessed(block, size));
-        self.vmm
-            .global
-            .scan_ptes
-            .fetch_add(scan.ptes_examined as u64, Relaxed);
+        add(&self.vmm.global.scan_ptes, scan.ptes_examined as u64);
         if let Some(core) = self.requester {
             self.vmm.clocks[core.index()]
                 .advance(self.vmm.cfg.cost.scan_pte * scan.ptes_examined as u64);
@@ -1939,7 +1619,6 @@ impl<R: Recorder> AccessBitOracle for KernelOracle<'_, R> {
 mod tests {
     use super::*;
     use cmcp_core::PolicyKind;
-    use std::sync::atomic::Ordering::Relaxed;
 
     fn vmm(cores: usize, blocks: usize) -> Vmm {
         Vmm::new(KernelConfig::new(cores, blocks))
@@ -1952,7 +1631,7 @@ mod tests {
         assert_eq!(k, FaultKind::Major);
         assert!(v.translate(CoreId(0), VirtPage(100)).is_some());
         assert_eq!(v.resident_blocks(), 1);
-        assert_eq!(v.core_stats()[0].page_faults.load(Relaxed), 1);
+        assert_eq!(v.core_stats()[0].page_faults.get(), 1);
         // First touch: no DMA (zero-fill), no eviction.
         assert_eq!(v.dma().bytes_in(), 0);
         assert_eq!(v.global_stats().snapshot().evictions, 0);
@@ -2021,7 +1700,7 @@ mod tests {
         // cores 0 and 1 only.
         v.handle_fault(CoreId(3), VirtPage(2), false);
         let recv: Vec<u64> = (0..8)
-            .map(|c| v.core_stats()[c].remote_inv_received.load(Relaxed))
+            .map(|c| v.core_stats()[c].remote_inv_received.get())
             .collect();
         assert_eq!(recv[0], 1);
         assert_eq!(recv[1], 1);
@@ -2040,10 +1719,10 @@ mod tests {
         v.handle_fault(CoreId(0), VirtPage(1), false);
         v.handle_fault(CoreId(0), VirtPage(2), false); // evicts block 0
         let recv: u64 = (1..8)
-            .map(|c| v.core_stats()[c].remote_inv_received.load(Relaxed))
+            .map(|c| v.core_stats()[c].remote_inv_received.get())
             .sum();
         assert_eq!(recv, 7, "all other cores interrupted");
-        assert!(v.core_stats()[0].remote_inv_sent.load(Relaxed) >= 7);
+        assert!(v.core_stats()[0].remote_inv_sent.get() >= 7);
     }
 
     #[test]
@@ -2071,7 +1750,7 @@ mod tests {
             }
             v.scan_tick();
             (0..4)
-                .map(|c| v.core_stats()[c].remote_inv_received.load(Relaxed))
+                .map(|c| v.core_stats()[c].remote_inv_received.get())
                 .sum()
         };
         assert!(
@@ -2145,6 +1824,23 @@ mod tests {
         for p in 0x40..0x50u64 {
             assert!(v.translate(CoreId(0), VirtPage(p)).is_some(), "page {p:#x}");
         }
+    }
+
+    #[test]
+    fn a_whole_run_can_move_to_another_thread() {
+        // `Vmm` is `Send` (sweeps may run whole simulations on worker
+        // threads) but deliberately not `Sync` — see the type's docs.
+        fn assert_send<T: Send>() {}
+        assert_send::<Vmm<NullTracer>>();
+        assert_send::<Vmm<cmcp_trace::RingTracer>>();
+        let v = vmm(2, 4);
+        let resident = std::thread::spawn(move || {
+            v.handle_fault(CoreId(1), VirtPage(7), false);
+            v.resident_blocks()
+        })
+        .join()
+        .unwrap();
+        assert_eq!(resident, 1);
     }
 
     impl Vmm {

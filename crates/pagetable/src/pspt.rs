@@ -15,13 +15,13 @@
 //!   known without touching accessed bits, which is exactly the signal
 //!   the CMCP replacement policy consumes.
 //!
-//! Alongside the per-core radix tables, PSPT keeps a sharded *core-map
+//! Alongside the per-core radix tables, PSPT keeps a *core-map
 //! directory* from block head page to [`CoreSet`]. The paper derives the
 //! same information by walking per-core tables; the directory is the
 //! constant-time equivalent and is kept strictly consistent with the
 //! tables (asserted in tests and by `debug_assert`s here).
 
-use parking_lot::{Mutex, RwLock};
+use std::cell::RefCell;
 
 use cmcp_arch::{CoreId, CoreSet, FxHashMap, PageSize, PhysFrame, VirtPage};
 
@@ -29,16 +29,14 @@ use crate::pte::PteFlags;
 use crate::scheme::{MapOutcome, ScanOutcome, SchemeKind, TableScheme, Translation, UnmapOutcome};
 use crate::table::{MapError, PageTable};
 
-const DIR_SHARDS: usize = 64;
-
 /// The per-core partially separated table scheme.
 pub struct Pspt {
-    /// One private table per core, individually locked — the fine
-    /// granularity is the point.
-    tables: Vec<RwLock<PageTable>>,
+    /// One private table per core (the per-core locks guarding them in
+    /// the paper are modeled in virtual time by the kernel).
+    tables: Vec<RefCell<PageTable>>,
     cores: CoreSet,
-    /// Sharded directory: block head page → cores mapping it.
-    directory: Vec<Mutex<FxHashMap<u64, CoreSet>>>,
+    /// Directory: block head page → cores mapping it.
+    directory: RefCell<FxHashMap<u64, CoreSet>>,
 }
 
 impl Pspt {
@@ -46,26 +44,16 @@ impl Pspt {
     pub fn new(n_cores: usize) -> Pspt {
         Pspt {
             tables: (0..n_cores)
-                .map(|_| RwLock::new(PageTable::new()))
+                .map(|_| RefCell::new(PageTable::new()))
                 .collect(),
             cores: CoreSet::first_n(n_cores),
-            directory: (0..DIR_SHARDS)
-                .map(|_| Mutex::new(FxHashMap::default()))
-                .collect(),
+            directory: RefCell::default(),
         }
-    }
-
-    #[inline]
-    fn shard(&self, head: VirtPage) -> &Mutex<FxHashMap<u64, CoreSet>> {
-        // Multiply-shift hash keeps neighbouring blocks on different
-        // shards without pulling in a hasher crate.
-        let h = (head.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize;
-        &self.directory[h % DIR_SHARDS]
     }
 
     /// Number of distinct resident blocks.
     pub fn resident_blocks(&self) -> usize {
-        self.directory.iter().map(|s| s.lock().len()).sum()
+        self.directory.borrow().len()
     }
 
     /// Histogram of blocks by number of mapping cores: index `k` counts
@@ -73,12 +61,10 @@ impl Pspt {
     /// Figure 6 directly from PSPT bookkeeping.
     pub fn sharing_histogram(&self) -> Vec<usize> {
         let mut hist = vec![0usize; self.tables.len()];
-        for shard in &self.directory {
-            for set in shard.lock().values() {
-                let c = set.count();
-                if c > 0 {
-                    hist[c - 1] += 1;
-                }
+        for set in self.directory.borrow().values() {
+            let c = set.count();
+            if c > 0 {
+                hist[c - 1] += 1;
             }
         }
         hist
@@ -96,7 +82,7 @@ impl TableScheme for Pspt {
 
     fn translate(&self, core: CoreId, page: VirtPage) -> Option<Translation> {
         self.tables[core.index()]
-            .read()
+            .borrow()
             .translate(page)
             .map(|t| Translation {
                 frame: t.frame,
@@ -106,7 +92,9 @@ impl TableScheme for Pspt {
     }
 
     fn mark_accessed(&self, core: CoreId, page: VirtPage, write: bool) {
-        self.tables[core.index()].write().mark_accessed(page, write);
+        self.tables[core.index()]
+            .borrow_mut()
+            .mark_accessed(page, write);
     }
 
     fn map(
@@ -122,9 +110,7 @@ impl TableScheme for Pspt {
         } else {
             PteFlags::empty()
         };
-        // Hold the directory shard across the table update so that a
-        // concurrent unmap_all of the same block cannot interleave.
-        let mut dir = self.shard(head).lock();
+        let mut dir = self.directory.borrow_mut();
         let entry = dir.entry(head.0).or_insert_with(CoreSet::empty);
         let existing = *entry;
         debug_assert!(
@@ -138,7 +124,7 @@ impl TableScheme for Pspt {
         // CMCP's signal costs no extra lookup (head entry only;
         // sub-entries keep count 0).
         self.tables[core.index()]
-            .write()
+            .borrow_mut()
             .map_counted(head, frame, size, flags, count)?;
         entry.insert(core);
         if existing.is_empty() {
@@ -155,13 +141,12 @@ impl TableScheme for Pspt {
     }
 
     fn unmap_all(&self, head: VirtPage, size: PageSize) -> Option<UnmapOutcome> {
-        let mut dir = self.shard(head).lock();
-        let mappers = dir.remove(&head.0)?;
+        let mappers = self.directory.borrow_mut().remove(&head.0)?;
         let mut dirty = false;
         let mut accessed = false;
         let mut removed = 0;
         for core in mappers.iter() {
-            if let Some(pte) = self.tables[core.index()].write().unmap(head, size) {
+            if let Some(pte) = self.tables[core.index()].borrow_mut().unmap(head, size) {
                 dirty |= pte.dirty();
                 accessed |= pte.accessed();
                 removed += match size {
@@ -184,8 +169,8 @@ impl TableScheme for Pspt {
     }
 
     fn mapping_cores(&self, head: VirtPage) -> CoreSet {
-        self.shard(head)
-            .lock()
+        self.directory
+            .borrow()
             .get(&head.0)
             .copied()
             .unwrap_or_else(CoreSet::empty)
@@ -193,13 +178,10 @@ impl TableScheme for Pspt {
 
     fn split_block(&self, head: VirtPage, size: PageSize) -> Option<PageSize> {
         let child = size.split_child()?;
-        // Take the block out of the directory first (shard lock held so
-        // no map/unmap of the whole block interleaves), rewrite every
-        // mapper's table, then register the children under the same
-        // core set — their heads may hash to different shards, which is
-        // fine: the engine serializes split against child operations.
+        // Take the block out of the directory, rewrite every mapper's
+        // table, then register the children under the same core set.
+        let mut dir = self.directory.borrow_mut();
         let mappers = {
-            let mut dir = self.shard(head).lock();
             let set = *dir.get(&head.0)?;
             if set.is_empty() {
                 return None;
@@ -208,14 +190,14 @@ impl TableScheme for Pspt {
             set
         };
         for core in mappers.iter() {
-            let done = self.tables[core.index()].write().split(head, size);
+            let done = self.tables[core.index()].borrow_mut().split(head, size);
             debug_assert!(done, "directory said {core} maps {head} but split failed");
         }
         let step = child.pages_4k() as u64;
         let children = size.pages_4k() / child.pages_4k();
         for k in 0..children as u64 {
             let ch = head.add(k * step);
-            self.shard(ch).lock().insert(ch.0, mappers);
+            dir.insert(ch.0, mappers);
         }
         Some(child)
     }
@@ -227,7 +209,7 @@ impl TableScheme for Pspt {
         let mut invalidate = CoreSet::empty();
         for core in mappers.iter() {
             let (acc, n) = self.tables[core.index()]
-                .write()
+                .borrow_mut()
                 .test_and_clear_accessed_block(head, size);
             examined += n;
             if acc {
@@ -245,9 +227,11 @@ impl TableScheme for Pspt {
     }
 
     fn block_dirty(&self, head: VirtPage, size: PageSize) -> bool {
-        self.mapping_cores(head)
-            .iter()
-            .any(|core| self.tables[core.index()].write().block_dirty(head, size))
+        self.mapping_cores(head).iter().any(|core| {
+            self.tables[core.index()]
+                .borrow_mut()
+                .block_dirty(head, size)
+        })
     }
 }
 
@@ -301,7 +285,7 @@ mod tests {
             // The freshly faulting core's head PTE carries the count at
             // map time; sub-entries stay at 0.
             let (head_count, sub_count) = {
-                let mut t = p.tables[CoreId(*c).index()].write();
+                let mut t = p.tables[CoreId(*c).index()].borrow_mut();
                 (
                     t.with_pte(VirtPage(0x40), |pte| pte.map_count()).unwrap(),
                     t.with_pte(VirtPage(0x41), |pte| pte.map_count()).unwrap(),
@@ -418,28 +402,19 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_mappers_stay_consistent() {
-        use std::sync::Arc;
-        let p = Arc::new(Pspt::new(8));
-        let handles: Vec<_> = (0..8u16)
-            .map(|c| {
-                let p = Arc::clone(&p);
-                std::thread::spawn(move || {
-                    for b in 0..64u64 {
-                        p.map(
-                            CoreId(c),
-                            VirtPage(b),
-                            PhysFrame(b as u32),
-                            PageSize::K4,
-                            true,
-                        )
-                        .unwrap();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
+    fn many_mappers_stay_consistent() {
+        let p = Pspt::new(8);
+        for c in 0..8u16 {
+            for b in 0..64u64 {
+                p.map(
+                    CoreId(c),
+                    VirtPage(b),
+                    PhysFrame(b as u32),
+                    PageSize::K4,
+                    true,
+                )
+                .unwrap();
+            }
         }
         for b in 0..64u64 {
             assert_eq!(p.mapping_cores(VirtPage(b)).count(), 8, "block {b}");

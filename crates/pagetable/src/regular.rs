@@ -7,10 +7,9 @@
 //!    cached the translation, so it must broadcast shootdown IPIs to
 //!    *every* core running the application.
 //! 2. Every table mutation funnels through an address-space-wide lock
-//!    (modeled in virtual time by the kernel; the `RwLock` here only
-//!    keeps the simulation itself memory-safe).
+//!    (modeled in virtual time by the kernel).
 
-use parking_lot::RwLock;
+use std::cell::RefCell;
 
 use cmcp_arch::{CoreId, CoreSet, PageSize, PhysFrame, VirtPage};
 
@@ -20,7 +19,7 @@ use crate::table::{MapError, PageTable};
 
 /// The shared-table scheme.
 pub struct RegularTables {
-    table: RwLock<PageTable>,
+    table: RefCell<PageTable>,
     cores: CoreSet,
 }
 
@@ -28,14 +27,14 @@ impl RegularTables {
     /// A shared table for an address space spanning cores `0..n_cores`.
     pub fn new(n_cores: usize) -> RegularTables {
         RegularTables {
-            table: RwLock::new(PageTable::new()),
+            table: RefCell::new(PageTable::new()),
             cores: CoreSet::first_n(n_cores),
         }
     }
 
     /// Total mapped 4 kB pages.
     pub fn mapped_pages_4k(&self) -> usize {
-        self.table.read().mapped_pages_4k()
+        self.table.borrow().mapped_pages_4k()
     }
 }
 
@@ -49,7 +48,7 @@ impl TableScheme for RegularTables {
     }
 
     fn translate(&self, _core: CoreId, page: VirtPage) -> Option<Translation> {
-        self.table.read().translate(page).map(|t| Translation {
+        self.table.borrow().translate(page).map(|t| Translation {
             frame: t.frame,
             size: t.size,
             writable: t.writable,
@@ -57,7 +56,7 @@ impl TableScheme for RegularTables {
     }
 
     fn mark_accessed(&self, _core: CoreId, page: VirtPage, write: bool) {
-        self.table.write().mark_accessed(page, write);
+        self.table.borrow_mut().mark_accessed(page, write);
     }
 
     fn map(
@@ -73,12 +72,12 @@ impl TableScheme for RegularTables {
         } else {
             PteFlags::empty()
         };
-        self.table.write().map(head, frame, size, flags)?;
+        self.table.borrow_mut().map(head, frame, size, flags)?;
         Ok(MapOutcome::Fresh)
     }
 
     fn unmap_all(&self, head: VirtPage, size: PageSize) -> Option<UnmapOutcome> {
-        let pte = self.table.write().unmap(head, size)?;
+        let pte = self.table.borrow_mut().unmap(head, size)?;
         Some(UnmapOutcome {
             // Centralized bookkeeping: every core may have cached it.
             mappers: self.cores,
@@ -97,7 +96,7 @@ impl TableScheme for RegularTables {
 
     fn split_block(&self, head: VirtPage, size: PageSize) -> Option<PageSize> {
         let child = size.split_child()?;
-        if self.table.write().split(head, size) {
+        if self.table.borrow_mut().split(head, size) {
             Some(child)
         } else {
             None
@@ -105,7 +104,10 @@ impl TableScheme for RegularTables {
     }
 
     fn test_and_clear_accessed(&self, head: VirtPage, size: PageSize) -> ScanOutcome {
-        let (accessed, examined) = self.table.write().test_and_clear_accessed_block(head, size);
+        let (accessed, examined) = self
+            .table
+            .borrow_mut()
+            .test_and_clear_accessed_block(head, size);
         ScanOutcome {
             accessed,
             // A cleared bit must be followed by a broadcast shootdown.
@@ -119,7 +121,7 @@ impl TableScheme for RegularTables {
     }
 
     fn block_dirty(&self, head: VirtPage, size: PageSize) -> bool {
-        self.table.write().block_dirty(head, size)
+        self.table.borrow_mut().block_dirty(head, size)
     }
 }
 

@@ -94,10 +94,10 @@ impl std::fmt::Display for SchemeKind {
     }
 }
 
-/// Address-translation operations the kernel performs, with interior
-/// synchronization (the virtual-time *cost* of that synchronization is
-/// charged separately by the kernel from the cost model).
-pub trait TableScheme: Send + Sync {
+/// Address-translation operations the kernel performs through a shared
+/// reference (the virtual-time *cost* of the page-table locks is charged
+/// separately by the kernel from the cost model).
+pub trait TableScheme: Send {
     /// Which scheme this is.
     fn kind(&self) -> SchemeKind;
 

@@ -229,7 +229,6 @@ impl Committer {
         }
 
         if live == 0 {
-            vmm.flush_policy_events();
             return None;
         }
 
@@ -263,10 +262,6 @@ impl Committer {
             }
             self.barrier_seq += 1;
             self.scaling.releases += 1;
-            // The batch boundary of the policy-event stream: residual
-            // per-core buffers drain under one policy-lock acquisition
-            // while the whole machine is synchronized anyway.
-            vmm.flush_policy_events();
         }
 
         // Next ceiling: the earliest thing that can happen anywhere —

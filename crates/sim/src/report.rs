@@ -1,7 +1,5 @@
 //! The merged run report: everything the experiment harness prints.
 
-use std::sync::atomic::Ordering::Relaxed;
-
 use cmcp_arch::{Cycles, TlbStats};
 use cmcp_kernel::{CoreStatsSnapshot, GlobalStatsSnapshot, TierCounters, Vmm};
 use cmcp_trace::{Breakdown, CoreTotals, Recorder};
@@ -20,7 +18,7 @@ pub struct TierReport {
 
 /// Multi-node NUMA roll-up: the topology in force, per-node DRAM
 /// budgets and occupancy, and the replica-coherence counters. The
-/// underlying counters live in dedicated atomics — **not** in the
+/// underlying counters live in dedicated live counters — **not** in the
 /// serialized snapshot structs — so single-node reports (and the
 /// committed goldens built from them) are byte-identical to the
 /// pre-NUMA code; this struct exists only when the topology is
@@ -134,8 +132,8 @@ impl RunReport {
         let breakdown = if R::ENABLED {
             let events = vmm.tracer().events();
             let dropped = vmm.tracer().dropped();
-            // The NUMA cycle counters live in dedicated atomics rather
-            // than the serialized snapshots (golden-stability), so the
+            // The NUMA cycle counters live in dedicated live counters
+            // rather than the serialized snapshots (golden-stability), so the
             // totals read them off the live stats alongside the
             // snapshot fields.
             let totals: Vec<CoreTotals> = per_core
@@ -146,8 +144,8 @@ impl RunReport {
                     fault_cycles: c.fault_cycles,
                     dma_wait_cycles: c.dma_wait_cycles,
                     tier_penalty_cycles: c.tier_penalty_cycles,
-                    replica_sync_cycles: live.replica_sync_cycles.load(Relaxed),
-                    migration_cycles: live.migration_cycles.load(Relaxed),
+                    replica_sync_cycles: live.replica_sync_cycles.get(),
+                    migration_cycles: live.migration_cycles.get(),
                     shootdown_cycles: c.shootdown_cycles,
                     lock_wait_cycles: c.lock_wait_cycles,
                     shard_lock_acquires: c.shard_lock_acquires,
@@ -194,19 +192,19 @@ impl RunReport {
                     replicate: books.config.replicate,
                     capacity_blocks: books.capacity().to_vec(),
                     used_blocks: books.used(),
-                    replica_syncs: g.replica_syncs.load(Relaxed),
-                    replica_invalidations: g.replica_invalidations.load(Relaxed),
-                    page_migrations: g.page_migrations.load(Relaxed),
-                    remote_spills: g.remote_spills.load(Relaxed),
+                    replica_syncs: g.replica_syncs.get(),
+                    replica_invalidations: g.replica_invalidations.get(),
+                    page_migrations: g.page_migrations.get(),
+                    remote_spills: g.remote_spills.get(),
                     replica_sync_cycles: vmm
                         .core_stats()
                         .iter()
-                        .map(|c| c.replica_sync_cycles.load(Relaxed))
+                        .map(|c| c.replica_sync_cycles.get())
                         .sum(),
                     migration_cycles: vmm
                         .core_stats()
                         .iter()
-                        .map(|c| c.migration_cycles.load(Relaxed))
+                        .map(|c| c.migration_cycles.get())
                         .sum(),
                 }
             }),

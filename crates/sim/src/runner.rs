@@ -138,8 +138,8 @@ impl CoreRunner {
     }
 
     /// Finishes a touch whose fault the engine has since handled, or
-    /// re-parks if a concurrent eviction tore the fresh mapping down
-    /// before the walk re-read it — the hardware would simply fault
+    /// re-parks if another core's fault later in the same commit phase
+    /// evicted the fresh mapping before the walk re-read it — the hardware would simply fault
     /// again, and each retry pairs the extra fault with the extra walk
     /// it implies, so faults never outnumber misses in anyone's books.
     fn resume_pending<R: Recorder>(&mut self, vmm: &Vmm<R>, trace: &CoreTrace) -> Option<Pause> {
@@ -339,12 +339,7 @@ mod tests {
         let s = r.tlb_stats();
         assert_eq!(s.misses, 1);
         assert_eq!(s.l1_hits, 1);
-        assert_eq!(
-            v.core_stats()[0]
-                .page_faults
-                .load(std::sync::atomic::Ordering::Relaxed),
-            1
-        );
+        assert_eq!(v.core_stats()[0].page_faults.get(), 1);
     }
 
     #[test]

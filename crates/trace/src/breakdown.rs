@@ -31,7 +31,7 @@ pub struct CoreTotals {
     pub shootdown_cycles: u64,
     /// Cycles queued on the page-table lock.
     pub lock_wait_cycles: u64,
-    /// Host-side residency stripe-lock acquisitions (zero cycles).
+    /// Fault-path residency-map accesses (zero cycles).
     pub shard_lock_acquires: u64,
     /// Faults injected against this core by the fault plan.
     pub faults_injected: u64,
@@ -80,8 +80,8 @@ pub struct CoreBreakdown {
     pub ack_cycles: u64,
     /// Own-TLB entries invalidated while draining the mailbox.
     pub tlb_invalidations: u64,
-    /// Host-side residency stripe-lock acquisitions (`ShardLock` count;
-    /// contributes no cycles — host locks are free in virtual time).
+    /// Fault-path residency-map accesses (`ShardLock` count; contributes
+    /// no cycles — host bookkeeping is free in virtual time).
     pub shard_lock_acquires: u64,
     /// Cycles spent waiting at barriers.
     pub barrier_wait_cycles: u64,
@@ -360,7 +360,7 @@ mod tests {
             .unwrap();
         assert!(b.validated);
         assert_eq!(b.per_core[0].shard_lock_acquires, 2);
-        assert_eq!(b.per_core[0].other_cycles, 50, "host locks are free");
+        assert_eq!(b.per_core[0].other_cycles, 50, "host bookkeeping is free");
         // A count mismatch is caught.
         let wrong = [CoreTotals {
             fault_cycles: 50,

@@ -10,9 +10,9 @@
 //!   empty inline function, and every call site that would compute
 //!   event arguments guards on `R::ENABLED`, so a non-traced build
 //!   carries no cost (verified by `benches/trace_overhead.rs`).
-//! * [`RingTracer`] — one lock-free fixed-capacity ring per core (plus
-//!   one for maintenance work not attributable to a core), overwriting
-//!   the oldest slot on overflow and counting what it dropped.
+//! * [`RingTracer`] — one fixed-capacity ring per core (plus one for
+//!   maintenance work not attributable to a core), overwriting the
+//!   oldest event on overflow and counting what it dropped.
 //!
 //! Post-run, [`Breakdown`](breakdown::Breakdown) folds a trace into a
 //! per-core cycle decomposition of the fault path and **validates it
@@ -31,10 +31,7 @@ pub mod export;
 pub use breakdown::{Breakdown, CoreBreakdown, CoreTotals};
 pub use export::{to_chrome_trace, to_jsonl};
 
-#[cfg(loom)]
-use loom::sync::atomic::{AtomicU64, Ordering::Relaxed};
-#[cfg(not(loom))]
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::cell::{Cell, RefCell};
 
 /// Virtual time, in simulated core cycles (mirrors `cmcp_arch::Cycles`;
 /// redeclared here so `cmcp-arch` itself can depend on this crate).
@@ -93,10 +90,10 @@ pub enum EventKind {
     BarrierArrive = 11,
     /// A full PSPT rebuild ran. `a` = blocks rebuilt.
     Rebuild = 12,
-    /// A host-side residency stripe lock was taken on the fault path.
-    /// `a` = stripe index, `b` = 0 — host locks add **zero** virtual
-    /// cycles; the event exists so host-contention analyses line up
-    /// with `CoreStats.shard_lock_acquires` exactly.
+    /// The fault path accessed the kernel's residency map. `a` = block
+    /// head page, `b` = 0 — host bookkeeping adds **zero** virtual
+    /// cycles; the event exists so host-cost analyses line up with
+    /// `CoreStats.shard_lock_acquires` exactly.
     ShardLock = 13,
     /// The fault-injection layer fired at some site. `a` = site code
     /// (see `cmcp_arch::FaultSite`), `b` = attempt index at which the
@@ -161,32 +158,6 @@ impl EventKind {
             EventKind::Migration => "migration",
         }
     }
-
-    fn from_code(code: u8) -> Option<EventKind> {
-        Some(match code {
-            0 => EventKind::FaultStart,
-            1 => EventKind::FaultEnd,
-            2 => EventKind::LockAcquire,
-            3 => EventKind::LockRelease,
-            4 => EventKind::VictimSelect,
-            5 => EventKind::ShootdownSend,
-            6 => EventKind::ShootdownAck,
-            7 => EventKind::DmaEnqueue,
-            8 => EventKind::DmaComplete,
-            9 => EventKind::PolicyScan,
-            10 => EventKind::TlbInvalidate,
-            11 => EventKind::BarrierArrive,
-            12 => EventKind::Rebuild,
-            13 => EventKind::ShardLock,
-            14 => EventKind::FaultInjected,
-            15 => EventKind::Retry,
-            16 => EventKind::Quarantine,
-            17 => EventKind::TierPenalty,
-            18 => EventKind::ReplicaSync,
-            19 => EventKind::Migration,
-            _ => return None,
-        })
-    }
 }
 
 /// One recorded moment: four words, fixed size, no heap.
@@ -204,10 +175,11 @@ pub struct Event {
     pub b: u64,
 }
 
-/// A sink for trace events. Implementations must be callable from
-/// concurrently running simulation threads without locking the fault
-/// path.
-pub trait Recorder: Sync {
+/// A sink for trace events. `record` takes `&self` because the kernel
+/// records through the shared reference it runs on; a recorder belongs
+/// to one run, so implementations use single-owner interior mutability
+/// (`Cell`/`RefCell`) rather than host synchronization.
+pub trait Recorder {
     /// `false` means `record` is a no-op and call sites skip computing
     /// event arguments entirely (the zero-cost path).
     const ENABLED: bool;
@@ -238,98 +210,47 @@ impl Recorder for NullTracer {
     fn record(&self, _core: u16, _ts: Cycles, _kind: EventKind, _a: u64, _b: u64) {}
 }
 
-/// One core's fixed-capacity event ring.
-///
-/// Writers claim a slot with a single `fetch_add` and then store the
-/// four event words with relaxed atomics. When the ring wraps, the
-/// oldest events are overwritten and counted as dropped. A slot being
-/// overwritten concurrently with a lapped writer can tear — that is
-/// acceptable because reads happen post-run, and any run that dropped
-/// events already has its breakdown validation disabled.
-///
-/// ## Memory-ordering contract
-///
-/// Everything here is `Relaxed`, deliberately (model-checked by
-/// `loom_tests` below; per-field table in DESIGN.md §10):
-///
-/// * `claimed.fetch_add(1, Relaxed)` — only the RMW's *atomicity* is
-///   load-bearing: each writer gets a unique claim index, so two
-///   writers never target the same slot until the ring laps. No
-///   payload is published through `claimed`, so no Release is needed.
-/// * Slot word stores/loads are `Relaxed` because readers
-///   ([`EventRing::drain_into`], [`EventRing::dropped`]) run strictly
-///   post-quiesce: callers drain after the run returns or after joining
-///   the writer threads, and that edge is what makes every completed
-///   store visible.
-///   Mid-run the only concurrent readers are lapped *writers*, and the
-///   tearing they can produce is detected (not prevented) via
-///   [`EventKind::from_code`] returning `None` on a half-written meta
-///   word. Upgrading the stores to Release would not remove the tear —
-///   only a seqlock or claim/commit protocol would, at per-event cost
-///   the zero-drop fast path should not pay.
+/// One core's fixed-capacity event ring. When it wraps, the oldest
+/// events are overwritten and counted as dropped.
 struct EventRing {
-    /// Total slots ever claimed; `min(claimed, capacity)` slots hold data.
-    claimed: AtomicU64,
-    /// `[ts, meta, a, b]` per slot, `meta = core << 8 | kind`.
-    slots: Vec<[AtomicU64; 4]>,
+    /// Total events ever pushed; `min(pushed, capacity)` slots hold data.
+    pushed: Cell<u64>,
+    capacity: usize,
+    /// Grows to `capacity`, then is overwritten in place.
+    slots: RefCell<Vec<Event>>,
 }
 
 impl EventRing {
     fn new(capacity: usize) -> EventRing {
-        let mut slots = Vec::with_capacity(capacity);
-        for _ in 0..capacity {
-            slots.push([
-                AtomicU64::new(0),
-                AtomicU64::new(u64::MAX),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-            ]);
-        }
         EventRing {
-            claimed: AtomicU64::new(0),
-            slots,
+            pushed: Cell::new(0),
+            capacity,
+            slots: RefCell::new(Vec::new()),
         }
     }
 
-    fn push(&self, core: u16, ts: Cycles, kind: EventKind, a: u64, b: u64) {
-        let claim = self.claimed.fetch_add(1, Relaxed) as usize;
-        let slot = &self.slots[claim % self.slots.len()];
-        slot[0].store(ts, Relaxed);
-        slot[1].store(((core as u64) << 8) | kind as u64, Relaxed);
-        slot[2].store(a, Relaxed);
-        slot[3].store(b, Relaxed);
+    fn push(&self, event: Event) {
+        let n = self.pushed.get();
+        self.pushed.set(n + 1);
+        let mut slots = self.slots.borrow_mut();
+        if slots.len() < self.capacity {
+            slots.push(event);
+        } else {
+            slots[n as usize % self.capacity] = event;
+        }
     }
 
     fn dropped(&self) -> u64 {
-        self.claimed
-            .load(Relaxed)
-            .saturating_sub(self.slots.len() as u64)
+        self.pushed.get().saturating_sub(self.capacity as u64)
     }
 
     fn drain_into(&self, out: &mut Vec<Event>) {
-        let claimed = self.claimed.load(Relaxed) as usize;
-        let live = claimed.min(self.slots.len());
-        for i in 0..live {
-            // After a wrap the ring's oldest event sits at `claimed %
-            // len`; before one, slot order is claim order from 0.
-            let idx = if claimed > self.slots.len() {
-                (claimed + i) % self.slots.len()
-            } else {
-                i
-            };
-            let slot = &self.slots[idx];
-            let meta = slot[1].load(Relaxed);
-            let Some(kind) = EventKind::from_code((meta & 0xff) as u8) else {
-                continue; // torn slot from a lapped writer
-            };
-            out.push(Event {
-                ts: slot[0].load(Relaxed),
-                core: (meta >> 8) as u16,
-                kind,
-                a: slot[2].load(Relaxed),
-                b: slot[3].load(Relaxed),
-            });
-        }
+        // The oldest event sits at `pushed % capacity` (before a wrap
+        // that is one past the last slot, so `older` is empty).
+        let slots = self.slots.borrow();
+        let (newer, older) = slots.split_at(self.pushed.get() as usize % self.capacity);
+        out.extend_from_slice(older);
+        out.extend_from_slice(newer);
     }
 }
 
@@ -365,7 +286,13 @@ impl Recorder for RingTracer {
     const ENABLED: bool = true;
 
     fn record(&self, core: u16, ts: Cycles, kind: EventKind, a: u64, b: u64) {
-        self.ring_for(core).push(core, ts, kind, a, b);
+        self.ring_for(core).push(Event {
+            ts,
+            core,
+            kind,
+            a,
+            b,
+        });
     }
 
     fn events(&self) -> Vec<Event> {
@@ -400,10 +327,7 @@ impl<R: Recorder> Recorder for &R {
     }
 }
 
-// Gated `not(loom)`: under `--cfg loom` the ring's atomics only work
-// inside `loom::model`; the bounded-interleaving versions of these
-// scenarios live in `loom_tests` below.
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -455,23 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_writers_lose_nothing_within_capacity() {
-        let t = RingTracer::new(4, 1024);
-        std::thread::scope(|s| {
-            for core in 0u16..4 {
-                let t = &t;
-                s.spawn(move || {
-                    for i in 0..500 {
-                        t.record(core, i, EventKind::FaultStart, i, 0);
-                    }
-                });
-            }
-        });
-        assert_eq!(t.dropped(), 0);
-        assert_eq!(t.events().len(), 2000);
-    }
-
-    #[test]
     fn payload_round_trips() {
         let t = RingTracer::new(1, 4);
         t.record(0, 123, EventKind::VictimSelect, 456, (7 << 8) | 2);
@@ -495,61 +402,5 @@ mod tests {
         assert!(n.events().is_empty());
         assert_eq!(n.dropped(), 0);
         const { assert!(!NullTracer::ENABLED) };
-    }
-}
-
-/// Bounded model checks of the ring's all-Relaxed contract (see the
-/// [`EventRing`] docs). Run with `make test-loom`.
-#[cfg(all(loom, test))]
-mod loom_tests {
-    use super::*;
-    use loom::sync::Arc;
-    use loom::thread;
-
-    /// Claim uniqueness: two racing writers within capacity never
-    /// collide on a slot, so after the post-join edge both events are
-    /// intact and distinguishable — in every interleaving and for every
-    /// Relaxed-permitted read the drain could make.
-    #[test]
-    fn loom_racing_writers_claim_distinct_slots() {
-        loom::model(|| {
-            let t = Arc::new(RingTracer::new(1, 4));
-            let t2 = Arc::clone(&t);
-            let h = thread::spawn(move || {
-                t2.record(0, 10, EventKind::FaultStart, 1, 0);
-            });
-            t.record(0, 20, EventKind::FaultEnd, 2, 0);
-            h.join().unwrap();
-            assert_eq!(t.dropped(), 0);
-            let evs = t.events();
-            let mut payloads: Vec<u64> = evs.iter().map(|e| e.a).collect();
-            payloads.sort_unstable();
-            assert_eq!(payloads, vec![1, 2], "a claim was shared or lost");
-        });
-    }
-
-    /// Wraparound: two writers pushing two events each into a two-slot
-    /// ring always account exactly two drops, and the post-quiesce
-    /// drain never yields more than capacity events nor an undecodable
-    /// kind (torn slots are skipped, not surfaced).
-    #[test]
-    fn loom_wraparound_counts_drops_and_skips_torn_slots() {
-        loom::model(|| {
-            let t = Arc::new(RingTracer::new(1, 2));
-            let t2 = Arc::clone(&t);
-            let h = thread::spawn(move || {
-                t2.record(0, 1, EventKind::FaultStart, 11, 0);
-                t2.record(0, 2, EventKind::FaultEnd, 12, 0);
-            });
-            t.record(0, 3, EventKind::DmaEnqueue, 13, 0);
-            t.record(0, 4, EventKind::DmaComplete, 14, 0);
-            h.join().unwrap();
-            assert_eq!(t.dropped(), 2, "4 claims into 2 slots");
-            let evs = t.events();
-            assert!(evs.len() <= 2, "drain yielded more than capacity");
-            for e in &evs {
-                assert!((11..=14).contains(&e.a), "payload from nowhere: {}", e.a);
-            }
-        });
     }
 }

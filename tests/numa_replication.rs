@@ -103,15 +103,14 @@ fn replica_sets_are_subsets_of_pspt_mapping_node_sets() {
 
 #[test]
 fn every_replica_drop_is_counted_exactly_once() {
-    use std::sync::atomic::Ordering::Relaxed;
     let (trace, vmm) = pressured("4node", true, 0);
     cmcp::sim::run_deterministic(&vmm, &trace);
     let books = vmm.numa_books().expect("multi-node run has books");
     let g = vmm.global_stats();
-    let evictions = g.evictions.load(Relaxed);
-    let syncs = g.replica_syncs.load(Relaxed);
-    let invalidations = g.replica_invalidations.load(Relaxed);
-    let spills = g.remote_spills.load(Relaxed);
+    let evictions = g.evictions.get();
+    let syncs = g.replica_syncs.get();
+    let invalidations = g.replica_invalidations.get();
+    let spills = g.remote_spills.get();
     let resident_entries: u64 = books.used().iter().sum();
     let resident_replicas: u64 = touched_pages(&trace)
         .iter()
@@ -157,15 +156,14 @@ fn balanced_private_streams_neither_spill_nor_invalidate() {
     // Symmetric private working sets on a symmetric topology at ratio
     // 1.0: no evictions, no spills — so the conservation law collapses
     // to equality with zero invalidations.
-    use std::sync::atomic::Ordering::Relaxed;
     let trace = synthetic::private_stream(8, 16, 3);
     let blocks = trace.declared_blocks(PageSize::K4);
     let vmm = numa_vmm(&trace, "2node", true, blocks, 0);
     cmcp::sim::run_deterministic(&vmm, &trace);
     let g = vmm.global_stats();
-    assert_eq!(g.evictions.load(Relaxed), 0);
-    assert_eq!(g.remote_spills.load(Relaxed), 0);
-    assert_eq!(g.replica_invalidations.load(Relaxed), 0);
+    assert_eq!(g.evictions.get(), 0);
+    assert_eq!(g.remote_spills.get(), 0);
+    assert_eq!(g.replica_invalidations.get(), 0);
     let resident_replicas: u64 = touched_pages(&trace)
         .iter()
         .filter_map(|&h| vmm.numa_block_state(h))
@@ -173,7 +171,7 @@ fn balanced_private_streams_neither_spill_nor_invalidate() {
         .sum();
     let books = vmm.numa_books().unwrap();
     let inserts: u64 = books.used().iter().sum();
-    let syncs = g.replica_syncs.load(Relaxed);
+    let syncs = g.replica_syncs.get();
     assert_eq!(
         resident_replicas,
         inserts + syncs,

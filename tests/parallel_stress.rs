@@ -1,5 +1,5 @@
-//! Engine stress tests: many simulated cores hammering the striped
-//! kernel state under eviction pressure. These catch lost updates,
+//! Engine stress tests: many simulated cores hammering the kernel state
+//! under eviction pressure. These catch lost updates,
 //! frame-pool leaks and broken books that the small determinism tests
 //! are too gentle to provoke. The engine is one sequential loop; the
 //! test names keep the worker counts the suite was written for, and each
@@ -14,7 +14,7 @@ use cmcp::{PolicyKind, SimulationBuilder};
 #[test]
 fn eight_workers_under_heavy_pressure_conserve_every_touch() {
     // 16 cores sharing a hot set plus private streams, squeezed to half
-    // the footprint: constant eviction traffic across every stripe.
+    // the footprint: constant eviction traffic.
     let t = synthetic::shared_hot(16, 48, 64, 6);
     let touches = t.total_touches();
     for policy in [
@@ -67,8 +67,8 @@ fn repeated_stress_runs_complete_and_agree_on_footprint() {
 #[test]
 fn traced_stress_run_still_validates_exactly() {
     // The per-core breakdown must keep summing exactly to the kernel
-    // counters while 8 cores interleave stripe locks and batched policy
-    // flushes.
+    // counters while 8 cores interleave residency-map accesses,
+    // shootdowns and policy updates.
     let t = synthetic::shared_hot(8, 24, 40, 4);
     let traced = SimulationBuilder::trace(t)
         .policy(PolicyKind::Cmcp { p: 0.5 })
@@ -76,12 +76,9 @@ fn traced_stress_run_still_validates_exactly() {
         .run_traced();
     assert_eq!(traced.dropped, 0, "default ring must hold the stress run");
     let b = traced.report.breakdown.expect("traced run has a breakdown");
-    assert!(b.validated, "stripe-lock events must reconcile exactly");
+    assert!(b.validated, "residency-map events must reconcile exactly");
     let shard_locks: u64 = b.per_core.iter().map(|r| r.shard_lock_acquires).sum();
-    assert!(
-        shard_locks > 0,
-        "fault path must cross the residency stripes"
-    );
+    assert!(shard_locks > 0, "fault path must access the residency map");
 }
 
 #[test]

@@ -32,8 +32,7 @@ fn fault_plan() -> FaultPlan {
 }
 
 /// The matrix's two pressure traces: a small shared hot set, and a
-/// heavy 16-core one with constant eviction traffic across every
-/// residency stripe.
+/// heavy 16-core one with constant eviction traffic.
 fn pressure_traces() -> [Trace; 2] {
     [
         synthetic::shared_hot(6, 32, 64, 4),
@@ -181,7 +180,7 @@ fn regular_tables_are_byte_identical_across_thread_counts() {
 
 #[test]
 fn tiered_and_adaptive_runs_are_byte_identical_across_thread_counts() {
-    // The multi-tier legs: the tier subsystem (Mutex-guarded span store,
+    // The multi-tier legs: the tier subsystem (span store,
     // demotion cascades, promotions) and the adaptive page-size machinery
     // (buddy allocator, split-on-evict, pressure controller), with the
     // fault plan armed on the tightest config. A 24-page fast tier under

@@ -138,9 +138,9 @@ fn tiny_ring_wraps_without_breaking_the_run() {
 #[test]
 fn parallel_engine_traced_run_validates() {
     // A shared hot set under eviction pressure: the per-core breakdown
-    // must keep summing exactly to the kernel counters while stripe
-    // locks, shootdowns and batched policy flushes interleave across
-    // cores. (The name predates the sequential engine; the 8-core stress
+    // must keep summing exactly to the kernel counters while
+    // residency-map accesses, shootdowns and policy updates interleave
+    // across cores. (The name predates the sequential engine; the 8-core stress
     // variant is `parallel_stress.rs::traced_stress_run_still_validates_exactly`.)
     let t = cmcp::workloads::synthetic::shared_hot(4, 24, 48, 3);
     let traced = SimulationBuilder::trace(t)
@@ -152,10 +152,7 @@ fn parallel_engine_traced_run_validates() {
     assert!(b.validated, "rings must sum exactly");
     assert!(!traced.events.is_empty());
     let shard_locks: u64 = b.per_core.iter().map(|r| r.shard_lock_acquires).sum();
-    assert!(
-        shard_locks > 0,
-        "fault path must cross the residency stripes"
-    );
+    assert!(shard_locks > 0, "fault path must access the residency map");
 }
 
 #[test]
